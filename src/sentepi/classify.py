@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +26,7 @@ __all__ = [
     "NaiveBayesModel",
     "MaxEntModel",
     "EnsembleModel",
+    "featurize",
     "train_naive_bayes",
     "train_maxent",
     "ensemble_predict",
@@ -34,23 +35,79 @@ __all__ = [
     "load_ensemble",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 LabeledDoc = tuple[TokenVector, SentimentLabel]
 
 
+def featurize(
+    token_vectors: Sequence[TokenVector], vocabulary: Mapping[str, int]
+) -> sparse.csr_matrix:
+    """Token-count matrix: row i holds the counts of ``token_vectors[i]``
+    in the columns ``vocabulary`` assigns; tokens outside it are dropped.
+
+    Both classifiers train and predict on this one representation.
+    """
+    indptr, indices, data = [0], [], []
+    for tv in token_vectors:
+        for token, count in tv.counts.items():
+            col = vocabulary.get(token)
+            if col is not None:
+                indices.append(col)
+                data.append(count)
+        indptr.append(len(indices))
+    # int32 indices are what scipy picks for these sizes; passing them
+    # skips a conversion that costs as much as scoring one document
+    X = sparse.csr_matrix(
+        (
+            np.asarray(data, dtype=float),
+            np.asarray(indices, dtype=np.int32),
+            np.asarray(indptr, dtype=np.int32),
+        ),
+        shape=(len(indptr) - 1, len(vocabulary)),
+    )
+    X.sort_indices()
+    return X
+
+
+class _LinearClassifier:
+    """Prediction shared by both classifiers: the argmax over labels of
+    ``X @ W.T + b`` on the token counts, ties going to the earlier label.
+
+    Subclasses hold W column-major so that ``W.T`` is C-contiguous: the
+    sparse product would otherwise copy W on every call, which dominates
+    scoring a single document.
+    """
+
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _scores(self, X: sparse.csr_matrix) -> np.ndarray:
+        W, b = self._coefficients()
+        return X @ W.T + b
+
+    def _labels_of(self, X: sparse.csr_matrix) -> list[SentimentLabel]:
+        return [self.labels[k] for k in np.argmax(self._scores(X), axis=1).tolist()]
+
+    def predict_batch(self, token_vectors: Sequence[TokenVector]) -> list[SentimentLabel]:
+        return self._labels_of(featurize(token_vectors, self.vocabulary))
+
+    def predict(self, tv: TokenVector) -> SentimentLabel:
+        return self.predict_batch([tv])[0]
+
+
 @dataclass
-class NaiveBayesModel:
+class NaiveBayesModel(_LinearClassifier):
     """Multinomial Naive Bayes with add-constant smoothing."""
 
     labels: tuple[SentimentLabel, ...]
-    vocabulary: tuple[str, ...]
+    vocabulary: dict[str, int]  # token -> feature column, in column order
     log_priors: np.ndarray  # (K,)
     log_cond: np.ndarray  # (K, V)
     smoothing: float
 
     def __post_init__(self):
-        self._token_index = {t: i for i, t in enumerate(self.vocabulary)}
+        self.log_cond = np.asfortranarray(self.log_cond)
         priors = np.exp(self.log_priors)
         if abs(priors.sum() - 1.0) > 1e-9:
             raise ValueError("class priors do not sum to 1")
@@ -59,24 +116,16 @@ class NaiveBayesModel:
             if np.any(np.abs(cond_sums - 1.0) > 1e-9):
                 raise ValueError("conditional distributions do not sum to 1")
 
-    def log_scores(self, tv: TokenVector) -> np.ndarray:
-        scores = self.log_priors.copy()
-        for token, count in tv.counts.items():
-            col = self._token_index.get(token)
-            if col is not None:  # unseen tokens are ignored
-                scores += count * self.log_cond[:, col]
-        return scores
-
-    def predict(self, tv: TokenVector) -> SentimentLabel:
-        return self.labels[int(np.argmax(self.log_scores(tv)))]
+    def _coefficients(self):
+        return self.log_cond, self.log_priors
 
 
 @dataclass
-class MaxEntModel:
+class MaxEntModel(_LinearClassifier):
     """Multinomial logistic regression over token counts."""
 
     labels: tuple[SentimentLabel, ...]
-    vocabulary: tuple[str, ...]
+    vocabulary: dict[str, int]  # token -> feature column, in column order
     weights: np.ndarray  # (K, V)
     bias: np.ndarray  # (K,)
     l2: float
@@ -84,26 +133,18 @@ class MaxEntModel:
     n_iter: int
 
     def __post_init__(self):
-        self._token_index = {t: i for i, t in enumerate(self.vocabulary)}
+        self.weights = np.asfortranarray(self.weights)
         if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.bias)):
             raise ValueError("non-finite model parameters")
 
-    def scores(self, tv: TokenVector) -> np.ndarray:
-        s = self.bias.copy()
-        for token, count in tv.counts.items():
-            col = self._token_index.get(token)
-            if col is not None:  # unseen tokens carry zero weight
-                s += count * self.weights[:, col]
-        return s
+    def _coefficients(self):
+        return self.weights, self.bias
 
     def predict_proba(self, tv: TokenVector) -> np.ndarray:
-        s = self.scores(tv)
+        s = self._scores(featurize([tv], self.vocabulary))[0]
         s -= s.max()
         e = np.exp(s)
         return e / e.sum()
-
-    def predict(self, tv: TokenVector) -> SentimentLabel:
-        return self.labels[int(np.argmax(self.scores(tv)))]
 
 
 @dataclass
@@ -114,49 +155,44 @@ class EnsembleModel:
     def __post_init__(self):
         if self.nb.labels != self.maxent.labels:
             raise ValueError("sub-models were trained on different label sets")
+        if self.nb.vocabulary != self.maxent.vocabulary:
+            raise ValueError("sub-models were trained on different vocabularies")
+
+    @property
+    def vocabulary(self) -> dict[str, int]:
+        return self.nb.vocabulary
+
+    def predict_batch(self, token_vectors: Sequence[TokenVector]) -> list[SentimentLabel]:
+        X = featurize(token_vectors, self.vocabulary)
+        return [
+            ensemble_predict(nb_label, me_label)
+            for nb_label, me_label in zip(self.nb._labels_of(X), self.maxent._labels_of(X))
+        ]
 
     def predict(self, tv: TokenVector) -> SentimentLabel:
-        return ensemble_predict(self.nb.predict(tv), self.maxent.predict(tv))
+        return self.predict_batch([tv])[0]
 
 
-def _present_labels(docs: Sequence[LabeledDoc]) -> tuple[SentimentLabel, ...]:
+def _training_set(
+    docs: Sequence[LabeledDoc],
+) -> tuple[tuple[SentimentLabel, ...], dict[str, int], sparse.csr_matrix, np.ndarray]:
+    """Labels present, union vocabulary in sorted order, features and
+    label codes of a training set."""
+    if not docs:
+        raise ValueError("empty training set")
     present = {label for _, label in docs}
     labels = tuple(lab for lab in LABEL_ORDER if lab in present)
     if len(labels) < 2:
         raise ValueError(
             f"training needs at least two classes, got {len(labels)}"
         )
-    return labels
-
-
-def _build_matrix(
-    docs: Sequence[LabeledDoc],
-    labels: tuple[SentimentLabel, ...],
-    vocabulary: tuple[str, ...],
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    token_index = {t: i for i, t in enumerate(vocabulary)}
-    label_index = {lab: i for i, lab in enumerate(labels)}
-    rows, cols, vals = [], [], []
-    y = np.empty(len(docs), dtype=np.int64)
-    for i, (tv, label) in enumerate(docs):
-        y[i] = label_index[label]
-        for token, count in tv.counts.items():
-            col = token_index.get(token)
-            if col is not None:
-                rows.append(i)
-                cols.append(col)
-                vals.append(float(count))
-    X = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(docs), len(vocabulary)), dtype=float
-    )
-    return X, y
-
-
-def _union_vocabulary(docs: Sequence[LabeledDoc]) -> tuple[str, ...]:
-    vocab = set()
+    tokens = set()
     for tv, _ in docs:
-        vocab.update(tv.counts)
-    return tuple(sorted(vocab))
+        tokens.update(tv.counts)
+    vocabulary = {token: i for i, token in enumerate(sorted(tokens))}
+    X = featurize([tv for tv, _ in docs], vocabulary)
+    y = np.array([labels.index(label) for _, label in docs], dtype=np.int64)
+    return labels, vocabulary, X, y
 
 
 def train_naive_bayes(docs: Sequence[LabeledDoc], smoothing: float = 1.0) -> NaiveBayesModel:
@@ -169,21 +205,14 @@ def train_naive_bayes(docs: Sequence[LabeledDoc], smoothing: float = 1.0) -> Nai
     """
     if smoothing <= 0:
         raise ValueError("smoothing must be positive")
-    if not docs:
-        raise ValueError("empty training set")
-    labels = _present_labels(docs)
-    vocabulary = _union_vocabulary(docs)
+    labels, vocabulary, X, y = _training_set(docs)
     k, v = len(labels), len(vocabulary)
-    label_index = {lab: i for i, lab in enumerate(labels)}
-    token_index = {t: i for i, t in enumerate(vocabulary)}
 
-    doc_counts = np.zeros(k)
-    token_counts = np.zeros((k, v))
-    for tv, label in docs:
-        li = label_index[label]
-        doc_counts[li] += 1
-        for token, count in tv.counts.items():
-            token_counts[li, token_index[token]] += count
+    indicator = sparse.csr_matrix(
+        (np.ones(y.size), (np.arange(y.size), y)), shape=(y.size, k)
+    )
+    doc_counts = np.bincount(y, minlength=k).astype(float)
+    token_counts = (indicator.T @ X).toarray()
 
     log_priors = np.log(doc_counts / doc_counts.sum())
     totals = token_counts.sum(axis=1, keepdims=True)
@@ -245,11 +274,7 @@ def train_maxent(
         raise ValueError("l2 must be non-negative")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not docs:
-        raise ValueError("empty training set")
-    labels = _present_labels(docs)
-    vocabulary = _union_vocabulary(docs)
-    X, y = _build_matrix(docs, labels, vocabulary)
+    labels, vocabulary, X, y = _training_set(docs)
     k, v = len(labels), len(vocabulary)
 
     weights = np.zeros((k, v))
@@ -311,10 +336,11 @@ def ensemble_predict(
 
 
 def evaluate_accuracy(model, testset: Sequence[LabeledDoc]) -> float:
-    """Fraction of exact label matches of ``model.predict`` on ``testset``."""
+    """Fraction of exact label matches of ``model.predict_batch`` on ``testset``."""
     if not testset:
         raise ValueError("empty test set")
-    hits = sum(1 for tv, label in testset if model.predict(tv) == label)
+    predicted = model.predict_batch([tv for tv, _ in testset])
+    hits = sum(1 for guess, (_, label) in zip(predicted, testset) if guess == label)
     return hits / len(testset)
 
 
@@ -323,14 +349,13 @@ def save_ensemble(model: EnsembleModel, path: str | Path) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "labels": [lab.value for lab in model.nb.labels],
+        "vocabulary": list(model.vocabulary),
         "nb": {
-            "vocabulary": list(model.nb.vocabulary),
             "log_priors": model.nb.log_priors.tolist(),
             "log_cond": model.nb.log_cond.tolist(),
             "smoothing": model.nb.smoothing,
         },
         "maxent": {
-            "vocabulary": list(model.maxent.vocabulary),
             "weights": model.maxent.weights.tolist(),
             "bias": model.maxent.bias.tolist(),
             "l2": model.maxent.l2,
@@ -344,7 +369,8 @@ def save_ensemble(model: EnsembleModel, path: str | Path) -> None:
 def load_ensemble(path: str | Path) -> EnsembleModel:
     """Load a model file written by :func:`save_ensemble`.
 
-    Fails loudly on unknown format versions.
+    Fails loudly on other format versions, version 1 included: its
+    files hold the vocabulary once per sub-model and must be retrained.
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
@@ -354,10 +380,11 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
             f"(expected {MODEL_FORMAT_VERSION})"
         )
     labels = tuple(SentimentLabel(v) for v in payload["labels"])
+    vocabulary = {token: i for i, token in enumerate(payload["vocabulary"])}
     nb_data = payload["nb"]
     nb = NaiveBayesModel(
         labels=labels,
-        vocabulary=tuple(nb_data["vocabulary"]),
+        vocabulary=vocabulary,
         log_priors=np.asarray(nb_data["log_priors"]),
         log_cond=np.asarray(nb_data["log_cond"]),
         smoothing=nb_data["smoothing"],
@@ -365,7 +392,7 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
     me_data = payload["maxent"]
     maxent = MaxEntModel(
         labels=labels,
-        vocabulary=tuple(me_data["vocabulary"]),
+        vocabulary=vocabulary,
         weights=np.asarray(me_data["weights"]),
         bias=np.asarray(me_data["bias"]),
         l2=me_data["l2"],

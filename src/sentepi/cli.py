@@ -19,6 +19,8 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
+from types import UnionType
+from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 import click
 import numpy
@@ -38,6 +40,7 @@ _UPSTREAM = {
     "timeseries": "classify",
     "flownet": "classify",
     "homophily": "flownet",
+    "sweep": "gen-net",  # unless contact_network is configured
 }
 
 
@@ -85,22 +88,6 @@ class RunConfig:
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-_PATH_KEYS = {
-    "out", "tweets", "labels", "followers", "friends",
-    "contact_network", "coverage_table",
-}
-_INT_KEYS = {
-    "seed", "maxent_max_iter", "moving_average_window", "bootstrap_iterations",
-    "in_fraction_iterations", "runs_per_r", "max_stall", "net_nodes",
-    "net_groups", "net_weight_min", "net_weight_max",
-}
-_FLOAT_KEYS = {
-    "test_split", "nb_smoothing", "maxent_l2", "maxent_tol",
-    "min_community_fraction", "coverage", "net_p_intra", "net_p_inter",
-}
-_DATE_KEYS = {"start_date", "end_date"}
-
-
 def _parse_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
     if ":" in text:
@@ -120,6 +107,20 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         return tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise click.UsageError(f"bad r_grid value {text!r}") from None
+
+
+def _reader(hint) -> Callable[[object], object]:
+    """How to read a config value into a field annotated ``hint``."""
+    if get_origin(hint) in (Union, UnionType):  # Path | None, date | None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if hint is date:
+        return lambda value: date.fromisoformat(str(value))
+    if get_origin(hint) is tuple:  # r_grid
+        return lambda value: _parse_grid(str(value))
+    return hint  # Path, int, float
+
+
+_READERS = {key: _reader(hint) for key, hint in get_type_hints(RunConfig).items()}
 
 
 def load_config(path: Path | None, overrides: dict) -> RunConfig:
@@ -148,18 +149,7 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
     kwargs: dict[str, object] = {}
     for key, value in values.items():
         try:
-            if key in _PATH_KEYS:
-                kwargs[key] = Path(value)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _DATE_KEYS:
-                kwargs[key] = date.fromisoformat(str(value))
-            elif key == "r_grid":
-                kwargs[key] = _parse_grid(str(value)) if isinstance(value, str) else value
-            else:
-                kwargs[key] = value
+            kwargs[key] = _READERS[key](value)
         except ValueError:
             raise click.UsageError(f"bad value for {key}: {value!r}") from None
     config = RunConfig(**kwargs)  # type: ignore[arg-type]
@@ -242,7 +232,13 @@ def _read_coverage(path: Path) -> dict[str, float]:
         for row in reader:
             if not row or row[0].strip().lower() == "region":
                 continue
-            coverage[row[0].strip()] = float(row[1])
+            try:
+                coverage[row[0].strip()] = float(row[1])
+            except (IndexError, ValueError):
+                raise click.UsageError(
+                    f"{path}:{reader.line_num}: expected region,coverage "
+                    f"with a numeric coverage, got {','.join(row)!r}"
+                ) from None
     return coverage
 
 
@@ -353,8 +349,9 @@ def classify_cmd(config_path, seed, out, force) -> None:
     with open(config.labels, encoding="utf-8") as fh:
         labels = parse_labels(fh)
 
+    unlabeled = [tweet for tweet in tweets if tweet.id not in labels]
+    predicted = iter(model.predict_batch([tokenize(tweet.text) for tweet in unlabeled]))
     out_path = config.out / "predictions.csv"
-    n_predicted = 0
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tweet_id", "label", "source"])
@@ -362,10 +359,8 @@ def classify_cmd(config_path, seed, out, force) -> None:
             if tweet.id in labels:
                 writer.writerow([tweet.id, labels[tweet.id].value, "manual"])
             else:
-                prediction = model.predict(tokenize(tweet.text))
-                writer.writerow([tweet.id, prediction.value, "predicted"])
-                n_predicted += 1
-    click.echo(f"wrote {out_path} ({n_predicted} predicted labels)")
+                writer.writerow([tweet.id, next(predicted).value, "predicted"])
+    click.echo(f"wrote {out_path} ({len(unlabeled)} predicted labels)")
     _write_manifest(config, "classify", [out_path.name])
 
 
@@ -578,20 +573,10 @@ def sweep_cmd(config_path, seed, out, force, workers) -> None:
         _require_inputs(config, "contact_network")
         net_path = config.contact_network
     else:
+        _check_upstream(config, "sweep", force)
         net_path = config.out / "contact_network.csv"
         if not net_path.exists():
-            raise click.UsageError(
-                f"no contact_network configured and {net_path} not found; "
-                "run 'gen-net' or set contact_network"
-            )
-        manifest = config.out / "manifest_gen-net.json"
-        if manifest.exists():
-            recorded = json.loads(manifest.read_text()).get("config_hash")
-            if recorded != config.config_hash() and not force:
-                raise click.UsageError(
-                    "stale upstream: contact network was generated under a "
-                    "different configuration; rerun 'gen-net' or pass --force"
-                )
+            raise click.UsageError(f"missing {net_path}; run 'gen-net' first")
     try:
         net = epi.read_contact_network(net_path)
         report = epi.sweep(

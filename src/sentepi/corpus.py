@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Hashable, Iterable
 
 from .stemming import stem
 
@@ -23,11 +23,13 @@ __all__ = [
     "Tweet",
     "SentimentLabel",
     "LABEL_ORDER",
+    "Tally",
     "TokenVector",
     "STOP_WORDS",
     "parse_tweets",
     "parse_labels",
     "tokenize",
+    "tally_by",
 ]
 
 
@@ -45,6 +47,9 @@ LABEL_ORDER = (
     SentimentLabel.NEUTRAL,
     SentimentLabel.IRRELEVANT,
 )
+
+# (n_pos, n_neg, n_neu) relevant tweets: the first three of LABEL_ORDER
+Tally = tuple[int, int, int]
 
 # Classic 33-word English analyzer stop list minus "no" and "not",
 # which carry sentiment in this domain.
@@ -217,3 +222,22 @@ def tokenize(text: str) -> TokenVector:
                 out.append(word)
         out.extend("!" * bangs)
     return TokenVector.from_tokens(out)
+
+
+def tally_by(
+    labeled_tweets: Iterable[tuple[Tweet, SentimentLabel]],
+    key: Callable[[Tweet], Hashable | None],
+) -> dict[Hashable, Tally]:
+    """Relevant-tweet tallies grouped by ``key(tweet)``.
+
+    Irrelevant tweets and tweets whose key is None are skipped, so every
+    returned tally has at least one tweet. Groups keep first-seen order.
+    """
+    acc: dict[Hashable, list[int]] = {}
+    for tweet, label in labeled_tweets:
+        if label is SentimentLabel.IRRELEVANT:
+            continue
+        group = key(tweet)
+        if group is not None:
+            acc.setdefault(group, [0, 0, 0])[LABEL_ORDER.index(label)] += 1
+    return {group: (t[0], t[1], t[2]) for group, t in acc.items()}

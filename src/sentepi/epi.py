@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stats import RandomStream, wilson_interval
+from .stats import RandomStream, as_stream, largest_component, wilson_interval
 
 logger = logging.getLogger(__name__)
 
@@ -271,8 +271,7 @@ def run_seir(
     """
     if params is None:
         params = SEIRParams()
-    if isinstance(stream, int):
-        stream = RandomStream(stream)
+    stream = as_stream(stream)
     if vac.vaccinated.size != net.n:
         raise ValueError("vaccination assignment does not match network size")
     gen = stream.generator()
@@ -384,8 +383,7 @@ def estimate_r0(
     """Estimate the basic reproduction number on the unvaccinated network."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if isinstance(stream, int):
-        stream = RandomStream(stream)
+    stream = as_stream(stream)
     vac = VaccinationAssignment(np.zeros(net.n, dtype=bool))
     secondary = []
     for i in range(runs):
@@ -422,13 +420,16 @@ def vaccination_assortativity(net: ContactNetwork, vac: VaccinationAssignment) -
     """Assortativity of vaccination status over the eligible edge set."""
     if net.m == 0:
         raise ValueError("assortativity needs at least one edge")
-    vacc = vac.vaccinated
+    svv, suu, deg_v = _mixing_counts(net, vac.vaccinated)
+    return _two_type_r(svv, suu, net.m, deg_v, 2 * net.m)
+
+
+def _mixing_counts(net: ContactNetwork, vacc: np.ndarray) -> tuple[int, int, int]:
+    """Vaccinated-vaccinated and unvaccinated-unvaccinated edge counts,
+    and the summed degree of vaccinated nodes."""
     uu = vacc[net.edge_u]
     vv = vacc[net.edge_v]
-    svv = int((uu & vv).sum())
-    suu = int((~uu & ~vv).sum())
-    deg_v = int(net.degrees[vacc].sum())
-    return _two_type_r(svv, suu, net.m, deg_v, 2 * net.m)
+    return int((uu & vv).sum()), int((~uu & ~vv).sum()), int(net.degrees[vacc].sum())
 
 
 def redistribute(
@@ -451,8 +452,7 @@ def redistribute(
     unchanged (as a copy). ``max_stall`` consecutive rejected swaps
     raise StallError carrying the best r achieved.
     """
-    if isinstance(stream, int):
-        stream = RandomStream(stream)
+    stream = as_stream(stream)
     if net.m == 0:
         raise ValueError("cannot redistribute on an edgeless network")
     vacc = np.asarray(vac.vaccinated, dtype=bool).copy()
@@ -460,20 +460,15 @@ def redistribute(
     if n_vacc == 0 or n_vacc == net.n:
         raise ValueError("coverage must be strictly between 0 and 1")
 
-    uu = vacc[net.edge_u]
-    vv = vacc[net.edge_v]
-    svv = int((uu & vv).sum())
-    suu = int((~uu & ~vv).sum())
+    svv, suu, deg_v = _mixing_counts(net, vacc)
     m = net.m
     two_m = 2 * m
-    degrees = net.degrees
-    deg_v = int(degrees[vacc].sum())
     r = _two_type_r(svv, suu, m, deg_v, two_m)
     if r > target_r:
         return VaccinationAssignment(vacc)
 
     status = vacc.tolist()
-    deg = degrees.tolist()
+    deg = net.degrees.tolist()
     neighbors = [
         net.nbr[net.indptr[i] : net.indptr[i + 1]].tolist() for i in range(net.n)
     ]
@@ -619,8 +614,7 @@ def sweep(
     index, redistribution index), so the report is identical for any
     worker count or scheduling order.
     """
-    if isinstance(stream, int):
-        stream = RandomStream(stream)
+    stream = as_stream(stream)
     if params is None:
         params = SEIRParams()
     grid = [float(r) for r in r_grid]
@@ -711,8 +705,7 @@ def generate_synthetic_contact_network(
     the largest connected component is kept, relabeled 0..n'-1; the
     pruned size is logged.
     """
-    if isinstance(stream, int):
-        stream = RandomStream(stream)
+    stream = as_stream(stream)
     if n_nodes <= 1 or n_groups < 1:
         raise ValueError("need at least 2 nodes and 1 group")
     lo, hi = int(weight_range[0]), int(weight_range[1])
@@ -731,7 +724,7 @@ def generate_synthetic_contact_network(
         raise ValueError("parameters produced no edges")
     w = gen.integers(lo, hi + 1, size=u.size)
 
-    keep = _largest_component(n_nodes, u, v)
+    keep = largest_component(n_nodes, u, v)
     relabel = -np.ones(n_nodes, dtype=np.int64)
     kept_nodes = np.flatnonzero(keep)
     relabel[kept_nodes] = np.arange(kept_nodes.size)
@@ -750,26 +743,6 @@ def generate_synthetic_contact_network(
             n_nodes,
         )
     return ContactNetwork.from_edges(int(kept_nodes.size), edges)
-
-
-def _largest_component(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in zip(u.tolist(), v.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    roots = np.array([find(i) for i in range(n)])
-    counts = np.bincount(roots, minlength=n)
-    best_root = int(np.argmax(counts))  # argmax takes the smallest on ties
-    return roots == best_root
 
 
 # --- file formats ---------------------------------------------------------
@@ -815,6 +788,10 @@ def read_vaccination(path: str | Path, n: int) -> VaccinationAssignment:
             if not row:
                 continue
             node, flag = int(row[0]), row[1].strip()
+            if not 0 <= node < n:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: node {node} outside [0, {n})"
+                )
             if flag not in ("0", "1"):
                 raise ValueError(f"vaccinated flag must be 0 or 1, got {flag!r}")
             vaccinated[node] = flag == "1"

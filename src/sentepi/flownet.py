@@ -9,12 +9,14 @@ snapshot; there are no temporal edge semantics.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .corpus import SentimentLabel, Tweet
+import numpy as np
+
+from .corpus import SentimentLabel, Tally, Tweet, tally_by
+from .stats import largest_component
 
 __all__ = [
     "FlowNetwork",
@@ -27,9 +29,6 @@ __all__ = [
     "write_edges_csv",
     "write_nodes_csv",
 ]
-
-Tally = tuple[int, int, int]  # (n_pos, n_neg, n_neu)
-
 
 @dataclass(frozen=True)
 class FlowNetwork:
@@ -67,18 +66,7 @@ def tally_users(
     labeled_tweets: Iterable[tuple[Tweet, SentimentLabel]]
 ) -> dict[str, Tally]:
     """Per-user relevant tweet tallies; users with none are omitted."""
-    acc: dict[str, list[int]] = {}
-    for tweet, label in labeled_tweets:
-        if label is SentimentLabel.IRRELEVANT:
-            continue
-        t = acc.setdefault(tweet.user_id, [0, 0, 0])
-        if label is SentimentLabel.POSITIVE:
-            t[0] += 1
-        elif label is SentimentLabel.NEGATIVE:
-            t[1] += 1
-        else:
-            t[2] += 1
-    return {user: (t[0], t[1], t[2]) for user, t in acc.items()}
+    return tally_by(labeled_tweets, lambda tweet: tweet.user_id)
 
 
 def build_flow_network(
@@ -145,33 +133,13 @@ def giant_component(network):
     smallest node id. Works on FlowNetwork and OpinionatedNetwork alike;
     the input type is preserved. Raises ValueError on an empty network.
     """
-    nodes = network.nodes
-    if not nodes:
+    ids = sorted(network.nodes)
+    if not ids:
         raise ValueError("empty network")
-    adjacency: dict[str, list[str]] = {node: [] for node in nodes}
-    for a, b in network.edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    best: set[str] | None = None
-    unvisited = set(nodes)
-    # Seeding searches in sorted order makes the smallest-id tie rule fall
-    # out naturally: a later component can only win by being strictly larger.
-    for seed in sorted(nodes):
-        if seed not in unvisited:
-            continue
-        component = {seed}
-        queue = deque([seed])
-        unvisited.discard(seed)
-        while queue:
-            current = queue.popleft()
-            for neighbor in adjacency[current]:
-                if neighbor in unvisited:
-                    unvisited.discard(neighbor)
-                    component.add(neighbor)
-                    queue.append(neighbor)
-        if best is None or len(component) > len(best):
-            best = component
+    index = {node: i for i, node in enumerate(ids)}
+    u = np.array([index[a] for a, _ in network.edges], dtype=np.int64)
+    v = np.array([index[b] for _, b in network.edges], dtype=np.int64)
+    best = {ids[i] for i in np.flatnonzero(largest_component(len(ids), u, v))}
 
     edges = tuple(e for e in network.edges if e[0] in best and e[1] in best)
     tallies = {user: network.tallies[user] for user in best}

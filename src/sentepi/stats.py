@@ -1,8 +1,8 @@
 """Shared statistical primitives.
 
 Weighted Pearson correlation, Fisher's exact test for 2x2 tables, the
-paired Wilcoxon signed-rank test, and reproducible splittable random
-streams. Everything here is a pure function of its inputs; streams are
+paired Wilcoxon signed-rank test, the largest connected component of a
+graph, and reproducible splittable random streams. Everything here is a pure function of its inputs; streams are
 addressed by (master seed, path) so parallel workers never share state.
 """
 
@@ -17,6 +17,8 @@ from scipy.special import stdtr
 __all__ = [
     "RandomStream",
     "derive_stream",
+    "as_stream",
+    "largest_component",
     "weighted_pearson",
     "fisher_exact_2x2",
     "wilcoxon_signed_rank_paired",
@@ -66,6 +68,34 @@ def as_stream(seed_or_stream: "int | RandomStream") -> RandomStream:
     if isinstance(seed_or_stream, RandomStream):
         return seed_or_stream
     return derive_stream(seed_or_stream)
+
+
+def largest_component(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Boolean mask of the largest connected component of the undirected
+    graph on nodes 0..n-1 with edges (u[i], v[i]).
+
+    Ties between equal-size components go to the one holding the
+    smallest node.
+    """
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(u.tolist(), v.tolist()):
+        ra, rb = find(a), find(b)
+        # the smaller root wins, so every root is its component's smallest node
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+
+    roots = np.array([find(i) for i in range(n)], dtype=np.int64)
+    counts = np.bincount(roots, minlength=n)
+    return roots == int(np.argmax(counts))  # argmax takes the smallest root on ties
 
 
 def weighted_pearson(x, y, w) -> tuple[float, float]:

@@ -133,7 +133,7 @@ DEFAULT_CONTACT_PARAMS = {
 
 
 def default_contact_network() -> ContactNetwork:
-    """The bundled calibrated contact network (1000 nodes, 5 groups)."""
+    """The bundled calibrated contact network (1000 nodes, 3 groups)."""
     p = DEFAULT_CONTACT_PARAMS
     return generate_synthetic_contact_network(
         n_nodes=p["n_nodes"],

@@ -13,7 +13,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import SentimentLabel, Tweet
+from .corpus import SentimentLabel, Tweet, tally_by
 from .stats import weighted_pearson
 
 __all__ = [
@@ -95,25 +95,16 @@ def daily_series(
     if end < start:
         raise ValueError("empty date range")
     n_days = (end - start).days + 1
-    pos = [0] * n_days
-    neg = [0] * n_days
-    neu = [0] * n_days
-    for tweet, label in labeled_tweets:
-        if label is SentimentLabel.IRRELEVANT:
-            continue
+
+    def day_offset(tweet: Tweet) -> int | None:
         if region is not None and tweet.region != region:
-            continue
-        day = tweet.timestamp.date()
-        offset = (day - start).days
-        if 0 <= offset < n_days:
-            if label is SentimentLabel.POSITIVE:
-                pos[offset] += 1
-            elif label is SentimentLabel.NEGATIVE:
-                neg[offset] += 1
-            else:
-                neu[offset] += 1
+            return None
+        offset = (tweet.timestamp.date() - start).days
+        return offset if 0 <= offset < n_days else None
+
+    tallies = tally_by(labeled_tweets, day_offset)
     return [
-        DailyCounts(start + timedelta(days=i), pos[i], neg[i], neu[i])
+        DailyCounts(start + timedelta(days=i), *tallies.get(i, (0, 0, 0)))
         for i in range(n_days)
     ]
 
@@ -140,24 +131,11 @@ def region_scores(
     labeled_tweets: Iterable[tuple[Tweet, SentimentLabel]]
 ) -> list[RegionScore]:
     """Aggregate per-region sentiment over all relevant, region-tagged tweets."""
-    tallies: dict[str, list[int]] = {}
-    for tweet, label in labeled_tweets:
-        if label is SentimentLabel.IRRELEVANT or tweet.region is None:
-            continue
-        t = tallies.setdefault(tweet.region, [0, 0, 0])
-        if label is SentimentLabel.POSITIVE:
-            t[0] += 1
-        elif label is SentimentLabel.NEGATIVE:
-            t[1] += 1
-        else:
-            t[2] += 1
-    out = []
-    for region in sorted(tallies):
-        n_pos, n_neg, n_neu = tallies[region]
-        weight = n_pos + n_neg + n_neu
-        score = sentiment_score(n_pos, n_neg, n_neu) if weight else 0.0
-        out.append(RegionScore(region=region, score=score, weight=weight))
-    return out
+    tallies = tally_by(labeled_tweets, lambda tweet: tweet.region)
+    return [
+        RegionScore(region=region, score=sentiment_score(*tally), weight=sum(tally))
+        for region, tally in sorted(tallies.items())
+    ]
 
 
 def regional_correlation(

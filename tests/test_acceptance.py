@@ -17,10 +17,10 @@ from click.testing import CliRunner
 from sentepi.classify import (
     EnsembleModel,
     evaluate_accuracy,
+    featurize,
     maxent_objective,
     train_maxent,
     train_naive_bayes,
-    _build_matrix,
 )
 from sentepi.cli import main as cli_main
 from sentepi.corpus import LABEL_ORDER, TokenVector
@@ -235,8 +235,9 @@ def test_classifier_acceptance():
         # analytic gradient vs central finite differences
         small = docs[:5]
         labels = tuple(lab for lab in LABEL_ORDER if any(l == lab for _, l in small))
-        vocab = tuple(sorted({t for d, _ in small for t in d.counts}))
-        X, y = _build_matrix(small, labels, vocab)
+        vocab = sorted({t for d, _ in small for t in d.counts})
+        X = featurize([d for d, _ in small], {t: i for i, t in enumerate(vocab)})
+        y = np.array([labels.index(lab) for _, lab in small])
         gen = derive_stream(8002).generator()
         weights = gen.normal(scale=0.4, size=(len(labels), len(vocab)))
         bias = gen.normal(scale=0.4, size=len(labels))

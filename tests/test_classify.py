@@ -9,6 +9,7 @@ from sentepi.classify import (
     EnsembleModel,
     ensemble_predict,
     evaluate_accuracy,
+    featurize,
     load_ensemble,
     maxent_objective,
     save_ensemble,
@@ -116,10 +117,9 @@ class TestMaxEnt:
     def test_gradient_matches_central_differences(self):
         docs = random_docs(5, 7, seed=3)
         labels = tuple(sorted({lab for _, lab in docs}, key=LABEL_ORDER.index))
-        vocab = tuple(sorted({t for d, _ in docs for t in d.counts}))
-        from sentepi.classify import _build_matrix
-
-        X, y = _build_matrix(docs, labels, vocab)
+        vocab = sorted({t for d, _ in docs for t in d.counts})
+        X = featurize([d for d, _ in docs], {t: i for i, t in enumerate(vocab)})
+        y = np.array([labels.index(lab) for _, lab in docs])
         gen = derive_stream(4).generator()
         weights = gen.normal(scale=0.5, size=(len(labels), len(vocab)))
         bias = gen.normal(scale=0.5, size=len(labels))
@@ -198,6 +198,13 @@ class TestEnsemble:
             EnsembleModel(nb=nb, maxent=maxent)
 
 
+    def test_vocabulary_mismatch_rejected(self):
+        nb = train_naive_bayes(separable_docs())
+        maxent = train_maxent(separable_docs() + [(tv("good", "extra"), POS)])
+        with pytest.raises(ValueError, match="vocabularies"):
+            EnsembleModel(nb=nb, maxent=maxent)
+
+
 class TestEvaluateAccuracy:
     def test_perfect_fit_on_own_training_doc(self):
         docs = separable_docs()
@@ -206,8 +213,8 @@ class TestEvaluateAccuracy:
 
     def test_constant_model_on_balanced_set(self):
         class Constant:
-            def predict(self, _):
-                return POS
+            def predict_batch(self, token_vectors):
+                return [POS] * len(token_vectors)
 
         testset = [(tv("x"), lab) for lab in LABEL_ORDER] * 3
         assert evaluate_accuracy(Constant(), testset) == 0.25
@@ -250,6 +257,19 @@ class TestSerialization:
             load_ensemble(path)
 
 
+    def test_single_vocabulary_and_version_1_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_ensemble(self._model(), path)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert "vocabulary" not in payload["nb"]
+        assert "vocabulary" not in payload["maxent"]
+        payload["format_version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="version"):
+            load_ensemble(path)
+
+
 class TestOnSyntheticCorpus:
     def test_ensemble_accuracy_small_scale(self):
         raw = synthetic_corpus(600, derive_stream(17))
@@ -263,3 +283,28 @@ class TestOnSyntheticCorpus:
             maxent=train_maxent(train, max_iter=200),
         )
         assert evaluate_accuracy(model, test) >= 0.9
+
+    def test_batch_labels_equal_per_document_labels(self):
+        raw = synthetic_corpus(600, derive_stream(19))
+        docs = [(TokenVector.from_tokens(toks), lab) for toks, lab in raw]
+        model = EnsembleModel(
+            nb=train_naive_bayes(docs[:400]),
+            maxent=train_maxent(docs[:400], max_iter=200),
+        )
+        vectors = [tv for tv, _ in docs]
+        assert model.predict_batch(vectors) == [model.predict(tv) for tv in vectors]
+
+        def per_token_labels(sub, W, b):
+            # reference: accumulate each token's weight column document by document
+            out = []
+            for x in vectors:
+                s = b.copy()
+                for token, count in x.counts.items():
+                    if token in sub.vocabulary:
+                        s += count * W[:, sub.vocabulary[token]]
+                out.append(sub.labels[int(np.argmax(s))])
+            return out
+
+        nb, me = model.nb, model.maxent
+        assert nb.predict_batch(vectors) == per_token_labels(nb, nb.log_cond, nb.log_priors)
+        assert me.predict_batch(vectors) == per_token_labels(me, me.weights, me.bias)

@@ -214,6 +214,33 @@ class TestErrorHandling:
         assert forced.exit_code == 0, forced.output
 
 
+    def test_sweep_without_gen_net_manifest_is_usage_error(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "contact_network.csv").write_text("u,v,w\n0,1,120\n")
+        config = tmp_path / "c.conf"
+        config.write_text(f"seed = 1\nout = {out}\nr_grid = 0\nruns_per_r = 1\n")
+        result = _run(["sweep", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "run 'gen-net' first" in result.output
+
+    def test_non_numeric_coverage_is_usage_error(self, tmp_path):
+        data = write_pipeline_fixture(tmp_path / "d", seed=10, n_users=30, n_tweets=200)
+        coverage = tmp_path / "coverage.csv"
+        coverage.write_text("region,coverage\nR01,0.5\nR02,abc\n")
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"seed = 1\nout = {tmp_path / 'o'}\ntweets = {data['tweets']}\n"
+            f"labels = {data['labels']}\ncoverage_table = {coverage}\n"
+            "test_split = 0\nmaxent_max_iter = 60\n"
+        )
+        for stage in ("train", "classify"):
+            assert _run([stage, "--config", str(config)]).exit_code == 0
+        result = _run(["timeseries", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"{coverage}:3:" in result.output
+
+
 class TestSeedOverride:
     def test_flag_overrides_file(self, tmp_path):
         data = write_pipeline_fixture(tmp_path / "d", seed=9, n_users=30, n_tweets=200)

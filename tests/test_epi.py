@@ -122,6 +122,13 @@ class TestContactNetwork:
         assert np.array_equal(loaded.vaccinated, vac.vaccinated)
         assert loaded.coverage == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("node", [-1, 3])
+    def test_vaccination_node_outside_range_rejected(self, tmp_path, node):
+        path = tmp_path / "vac.csv"
+        path.write_text(f"node,vaccinated\n0,1\n{node},1\n")
+        with pytest.raises(ValueError, match=rf"vac\.csv:3: node {node} outside \[0, 3\)"):
+            read_vaccination(path, 3)
+
 
 class TestRunSeir:
     def test_edgeless_network_infects_only_index(self):

@@ -11,6 +11,7 @@ from sentepi.stats import (
     RandomStream,
     derive_stream,
     fisher_exact_2x2,
+    largest_component,
     weighted_pearson,
     wilcoxon_signed_rank_paired,
     wilson_interval,
@@ -239,6 +240,19 @@ class TestRandomStreams:
         expected = 10**6 / 100
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < scipy.stats.chi2.ppf(0.99, df=99)
+
+
+class TestLargestComponent:
+    def test_tie_goes_to_component_with_smallest_node(self):
+        # {0, 8, 9} and {1, 2, 3} are equal in size; 0 is the smallest node
+        u = np.array([0, 1, 2, 8])
+        v = np.array([9, 2, 3, 9])
+        keep = largest_component(10, u, v)
+        assert np.flatnonzero(keep).tolist() == [0, 8, 9]
+
+    def test_strictly_larger_component_wins(self):
+        keep = largest_component(6, np.array([0, 3, 4]), np.array([1, 4, 5]))
+        assert np.flatnonzero(keep).tolist() == [3, 4, 5]
 
 
 class TestWilsonInterval:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,14 @@ class TestDefaultContactNetwork:
         assert net.edge_w.min() >= 90
         # one undirected component by construction
         assert net.degrees.min() >= 1
+
+    def test_network_is_pinned(self):
+        net = default_contact_network()
+        assert (net.n, net.m) == (1000, 3829)
+        text = repr((net.n, net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist()))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "93b5b9eb37a692b2e2565d90b5b271c26a8981adc3dfb36dc07d63ad398cc555"
+        )
 
 
 class TestPipelineFixture:
