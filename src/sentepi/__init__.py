@@ -7,3 +7,7 @@ distributions.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """A malformed input file; the message starts with ``path:line:``."""

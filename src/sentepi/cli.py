@@ -1,12 +1,15 @@
 """Command-line orchestration of the pipeline and experiment harness.
 
 Commands share one flat ``key = value`` configuration file; flags win
-over file values. Every command writes a manifest recording the
-resolved configuration hash so downstream commands can refuse to mix
-outputs produced under different configurations. All randomness flows
-from the single master seed through per-command stream paths.
+over file values. All randomness flows from the single master seed
+through per-command stream paths. Every command is a pipeline stage
+registered through :func:`_stage`, which checks the stage's inputs and
+its upstream manifest, deletes the stage's own manifest first and writes
+it last. A manifest is fresh when it records the same configuration
+hash, which covers every setting and the bytes of every input file.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
+error, including a malformed input row (reported as ``path:line:``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import click
 import numpy
 import scipy
 
-from . import __version__
+from . import InputError, __version__
 from . import classify as classify_mod
 from . import epi, flownet, homophily, timeseries
 from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
@@ -34,14 +37,6 @@ from .stats import derive_stream
 
 # Stream path roots, one per command.
 _TRAIN, _CLASSIFY, _TIMESERIES, _FLOWNET, _HOMOPHILY, _GENNET, _SWEEP = range(7)
-
-_UPSTREAM = {
-    "classify": "train",
-    "timeseries": "classify",
-    "flownet": "classify",
-    "homophily": "flownet",
-    "sweep": "gen-net",  # unless contact_network is configured
-}
 
 
 @dataclass
@@ -79,12 +74,16 @@ class RunConfig:
     net_weight_max: int = 210
 
     def config_hash(self) -> str:
-        """Hash of every semantic setting; the output directory is excluded."""
+        """Hash of every semantic setting, with each existing input file
+        standing for the sha256 of its bytes; the output directory is excluded."""
         parts = []
         for f in sorted(fld.name for fld in fields(self)):
             if f == "out":
                 continue
-            parts.append(f"{f}={getattr(self, f)!r}")
+            value = getattr(self, f)
+            if isinstance(value, Path) and value.is_file():
+                value = hashlib.sha256(value.read_bytes()).hexdigest()
+            parts.append(f"{f}={value!r}")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
@@ -184,17 +183,15 @@ def _write_manifest(config: RunConfig, command: str, outputs: list[str]) -> None
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _check_upstream(config: RunConfig, command: str, force: bool) -> None:
-    upstream = _UPSTREAM.get(command)
-    if upstream is None:
-        return
+def _check_upstream(config: RunConfig, upstream: str, force: bool) -> None:
     path = config.out / f"manifest_{upstream}.json"
-    if not path.exists():
-        raise click.UsageError(
-            f"missing upstream output: run '{upstream}' first ({path} not found)"
-        )
-    recorded = json.loads(path.read_text()).get("config_hash")
-    if recorded != config.config_hash():
+    manifest = json.loads(path.read_text()) if path.exists() else {"outputs": []}
+    for needed in [path, *(config.out / name for name in manifest["outputs"])]:
+        if not needed.exists():
+            raise click.UsageError(
+                f"missing upstream output: run '{upstream}' first ({needed} not found)"
+            )
+    if manifest["config_hash"] != config.config_hash():
         if force:
             click.echo(f"warning: {path.name} is stale; continuing under --force")
             return
@@ -212,17 +209,14 @@ def _load_tweets(config: RunConfig):
     return tweets
 
 
-def _read_predictions(config: RunConfig) -> dict[str, SentimentLabel]:
-    path = config.out / "predictions.csv"
-    if not path.exists():
-        raise click.UsageError(f"missing {path}; run 'classify' first")
-    labels: dict[str, SentimentLabel] = {}
-    with open(path, newline="") as fh:
+def _labeled_tweets(config: RunConfig) -> list:
+    """(tweet, label) pairs for the tweets that ``predictions.csv`` labels."""
+    tweets = _load_tweets(config)
+    with open(config.out / "predictions.csv", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
-        for row in reader:
-            labels[row[0]] = SentimentLabel(row[1])
-    return labels
+        labels = {row[0]: SentimentLabel(row[1]) for row in reader}
+    return [(t, labels[t.id]) for t in tweets if t.id in labels]
 
 
 def _read_coverage(path: Path) -> dict[str, float]:
@@ -235,7 +229,7 @@ def _read_coverage(path: Path) -> dict[str, float]:
             try:
                 coverage[row[0].strip()] = float(row[1])
             except (IndexError, ValueError):
-                raise click.UsageError(
+                raise InputError(
                     f"{path}:{reader.line_num}: expected region,coverage "
                     f"with a numeric coverage, got {','.join(row)!r}"
                 ) from None
@@ -254,7 +248,7 @@ _force_option = click.option(
     "--force", is_flag=True, help="Ignore stale upstream manifests."
 )
 _workers_option = click.option(
-    "--workers", type=int, default=1, show_default=True,
+    "--workers", type=click.IntRange(min=1), default=1, show_default=True,
     help="Parallel worker processes.",
 )
 
@@ -276,14 +270,53 @@ def main() -> None:
     """Sentiment, opinion-network and outbreak-risk pipeline."""
 
 
-@main.command()
-@_config_option
-@_seed_option
-@_out_option
-def train(config_path, seed, out) -> None:
+def _stage(
+    name: str,
+    inputs: tuple[str, ...] = (),
+    upstream: str | Callable[[RunConfig], str | None] | None = None,
+    workers: bool = False,
+):
+    """Register the decorated body as the pipeline stage command ``name``.
+
+    The body takes the resolved config (and ``workers=`` when ``workers``
+    is set) and returns the names of the files it wrote in ``out``.
+    ``inputs`` are the config keys naming files the stage requires;
+    ``upstream`` is the stage whose manifest must be fresh, or a function
+    of the config giving it (None: no upstream). ``--force`` is offered
+    only to stages with an upstream.
+    """
+
+    def register(body):
+        def command(config_path, seed, out, force=False, **kwargs) -> None:
+            config = _resolve(config_path, seed, out)
+            _require_inputs(config, *inputs)
+            source = upstream(config) if callable(upstream) else upstream
+            if source is not None:
+                _check_upstream(config, source, force)
+            (config.out / f"manifest_{name}.json").unlink(missing_ok=True)
+            try:
+                outputs = body(config, **kwargs)
+            except InputError as exc:
+                raise click.UsageError(str(exc)) from exc
+            except (ValueError, ArithmeticError, epi.StallError) as exc:
+                raise click.ClickException(str(exc)) from exc
+            _write_manifest(config, name, outputs)
+
+        options = [_config_option, _seed_option, _out_option]
+        if upstream is not None:
+            options.append(_force_option)
+        if workers:
+            options.append(_workers_option)
+        for option in reversed(options):
+            command = option(command)
+        return main.command(name=name, help=body.__doc__)(command)
+
+    return register
+
+
+@_stage("train", inputs=("tweets", "labels"))
+def train(config: RunConfig) -> list[str]:
     """Train the sentiment ensemble on the labeled tweets."""
-    config = _resolve(config_path, seed, out)
-    _require_inputs(config, "tweets", "labels")
     tweets = _load_tweets(config)
     with open(config.labels, encoding="utf-8") as fh:
         labels = parse_labels(fh)
@@ -304,14 +337,11 @@ def train(config_path, seed, out) -> None:
         heldout = [docs[i] for i in order[:n_test]]
         docs = [docs[i] for i in order[n_test:]]
 
-    try:
-        nb = classify_mod.train_naive_bayes(docs, smoothing=config.nb_smoothing)
-        maxent = classify_mod.train_maxent(
-            docs, l2=config.maxent_l2, max_iter=config.maxent_max_iter,
-            tol=config.maxent_tol,
-        )
-    except (ValueError, ArithmeticError) as exc:
-        raise click.ClickException(f"training failed: {exc}") from exc
+    nb = classify_mod.train_naive_bayes(docs, smoothing=config.nb_smoothing)
+    maxent = classify_mod.train_maxent(
+        docs, l2=config.maxent_l2, max_iter=config.maxent_max_iter,
+        tol=config.maxent_tol,
+    )
     model = classify_mod.EnsembleModel(nb=nb, maxent=maxent)
     model_path = config.out / "ensemble_model.json"
     classify_mod.save_ensemble(model, model_path)
@@ -324,27 +354,13 @@ def train(config_path, seed, out) -> None:
     if heldout:
         acc = classify_mod.evaluate_accuracy(model, heldout)
         click.echo(f"held-out accuracy on {len(heldout)} docs: {acc:.4f}")
-    _write_manifest(config, "train", [model_path.name])
+    return [model_path.name]
 
 
-@main.command(name="classify")
-@_config_option
-@_seed_option
-@_out_option
-@_force_option
-def classify_cmd(config_path, seed, out, force) -> None:
+@_stage("classify", inputs=("tweets", "labels"), upstream="train")
+def classify_cmd(config: RunConfig) -> list[str]:
     """Predict labels for tweets without a manual label."""
-    config = _resolve(config_path, seed, out)
-    _require_inputs(config, "tweets", "labels")
-    _check_upstream(config, "classify", force)
-    model_path = config.out / "ensemble_model.json"
-    if not model_path.exists():
-        raise click.UsageError(f"missing model file {model_path}; run 'train' first")
-    try:
-        model = classify_mod.load_ensemble(model_path)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-
+    model = classify_mod.load_ensemble(config.out / "ensemble_model.json")
     tweets = _load_tweets(config)
     with open(config.labels, encoding="utf-8") as fh:
         labels = parse_labels(fh)
@@ -361,22 +377,13 @@ def classify_cmd(config_path, seed, out, force) -> None:
             else:
                 writer.writerow([tweet.id, next(predicted).value, "predicted"])
     click.echo(f"wrote {out_path} ({len(unlabeled)} predicted labels)")
-    _write_manifest(config, "classify", [out_path.name])
+    return [out_path.name]
 
 
-@main.command(name="timeseries")
-@_config_option
-@_seed_option
-@_out_option
-@_force_option
-def timeseries_cmd(config_path, seed, out, force) -> None:
+@_stage("timeseries", inputs=("tweets",), upstream="classify")
+def timeseries_cmd(config: RunConfig) -> list[str]:
     """Daily sentiment counts, the smoothed score, and regional scores."""
-    config = _resolve(config_path, seed, out)
-    _require_inputs(config, "tweets")
-    _check_upstream(config, "timeseries", force)
-    tweets = _load_tweets(config)
-    predictions = _read_predictions(config)
-    labeled = [(t, predictions[t.id]) for t in tweets if t.id in predictions]
+    labeled = _labeled_tweets(config)
     if not labeled:
         raise click.ClickException("no labeled tweets to aggregate")
 
@@ -396,10 +403,7 @@ def timeseries_cmd(config_path, seed, out, force) -> None:
     if config.coverage_table is not None:
         _require_inputs(config, "coverage_table")
         coverage = _read_coverage(config.coverage_table)
-        try:
-            r, p = timeseries.regional_correlation(scores, coverage)
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
+        r, p = timeseries.regional_correlation(scores, coverage)
         corr_path = config.out / "regional_correlation.json"
         corr_path.write_text(
             json.dumps({"weighted_r": r, "p_value": p, "n_regions": len(scores)},
@@ -409,23 +413,13 @@ def timeseries_cmd(config_path, seed, out, force) -> None:
         click.echo(f"weighted r = {r:.4f}, two-sided p = {p:.4g}")
 
     click.echo(f"wrote {daily_path}, {ma_path}, {region_path}")
-    _write_manifest(config, "timeseries", outputs)
+    return outputs
 
 
-@main.command(name="flownet")
-@_config_option
-@_seed_option
-@_out_option
-@_force_option
-def flownet_cmd(config_path, seed, out, force) -> None:
+@_stage("flownet", inputs=("tweets", "followers", "friends"), upstream="classify")
+def flownet_cmd(config: RunConfig) -> list[str]:
     """Build the opinionated information-flow network's giant component."""
-    config = _resolve(config_path, seed, out)
-    _require_inputs(config, "tweets", "followers", "friends")
-    _check_upstream(config, "flownet", force)
-    tweets = _load_tweets(config)
-    predictions = _read_predictions(config)
-    labeled = [(t, predictions[t.id]) for t in tweets if t.id in predictions]
-    tallies = flownet.tally_users(labeled)
+    tallies = flownet.tally_users(_labeled_tweets(config))
 
     with open(config.followers, encoding="utf-8") as fh:
         followers = flownet.read_adjacency(fh)
@@ -447,23 +441,18 @@ def flownet_cmd(config_path, seed, out, force) -> None:
         f"opinionated: {len(opinion.nodes)}; giant component: {len(giant.nodes)} "
         f"nodes, {len(giant.edges)} edges"
     )
-    _write_manifest(config, "flownet", [edges_path.name, nodes_path.name])
+    return [edges_path.name, nodes_path.name]
 
 
 def _read_opinion_network(config: RunConfig):
-    nodes_path = config.out / "opinion_nodes.csv"
-    edges_path = config.out / "opinion_edges.csv"
-    for path in (nodes_path, edges_path):
-        if not path.exists():
-            raise click.UsageError(f"missing {path}; run 'flownet' first")
     signs: dict[str, int] = {}
-    with open(nodes_path, newline="") as fh:
+    with open(config.out / "opinion_nodes.csv", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
             signs[row[0]] = 1 if row[4] == "positive" else -1
     edges = []
-    with open(edges_path, newline="") as fh:
+    with open(config.out / "opinion_edges.csv", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -471,37 +460,25 @@ def _read_opinion_network(config: RunConfig):
     return signs, edges
 
 
-@main.command(name="homophily")
-@_config_option
-@_seed_option
-@_out_option
-@_force_option
-@_workers_option
-def homophily_cmd(config_path, seed, out, force, workers) -> None:
+@_stage("homophily", upstream="flownet", workers=True)
+def homophily_cmd(config: RunConfig, workers: int) -> list[str]:
     """Assortativity, bootstrap null, in-fractions, and communities."""
-    config = _resolve(config_path, seed, out)
-    _check_upstream(config, "homophily", force)
     signs, edges = _read_opinion_network(config)
-
-    try:
-        observed = homophily.assortativity(signs, edges)
-        null = homophily.bootstrap_null(
-            signs, edges, config.bootstrap_iterations,
-            derive_stream(config.seed, _HOMOPHILY, 0),
-            workers=max(1, workers),
-        )
-        ftest = homophily.in_fraction_test(
-            signs, edges, config.in_fraction_iterations,
-            derive_stream(config.seed, _HOMOPHILY, 1),
-        )
-        partition = homophily.detect_communities(
-            signs.keys(), edges, derive_stream(config.seed, _HOMOPHILY, 2)
-        )
-        report = homophily.community_enrichment(
-            partition, signs, min_size_fraction=config.min_community_fraction
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    observed = homophily.assortativity(signs, edges)
+    null = homophily.bootstrap_null(
+        signs, edges, config.bootstrap_iterations,
+        derive_stream(config.seed, _HOMOPHILY, 0), workers=workers,
+    )
+    ftest = homophily.in_fraction_test(
+        signs, edges, config.in_fraction_iterations,
+        derive_stream(config.seed, _HOMOPHILY, 1),
+    )
+    partition = homophily.detect_communities(
+        signs.keys(), edges, derive_stream(config.seed, _HOMOPHILY, 2)
+    )
+    report = homophily.community_enrichment(
+        partition, signs, min_size_fraction=config.min_community_fraction
+    )
 
     null_path = config.out / "null_distribution.csv"
     comm_path = config.out / "communities.csv"
@@ -531,65 +508,45 @@ def homophily_cmd(config_path, seed, out, force, workers) -> None:
         f"mean f = {ftest.original_mean:.4f}; "
         f"{len(report.rows)} communities above size threshold"
     )
-    _write_manifest(
-        config, "homophily", [null_path.name, comm_path.name, summary_path.name]
-    )
+    return [null_path.name, comm_path.name, summary_path.name]
 
 
-@main.command(name="gen-net")
-@_config_option
-@_seed_option
-@_out_option
-def gen_net(config_path, seed, out) -> None:
+@_stage("gen-net")
+def gen_net(config: RunConfig) -> list[str]:
     """Generate the synthetic group-structured contact network."""
-    config = _resolve(config_path, seed, out)
-    try:
-        net = epi.generate_synthetic_contact_network(
-            n_nodes=config.net_nodes,
-            n_groups=config.net_groups,
-            p_intra=config.net_p_intra,
-            p_inter=config.net_p_inter,
-            weight_range=(config.net_weight_min, config.net_weight_max),
-            stream=derive_stream(config.seed, _GENNET, 0),
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    net = epi.generate_synthetic_contact_network(
+        n_nodes=config.net_nodes,
+        n_groups=config.net_groups,
+        p_intra=config.net_p_intra,
+        p_inter=config.net_p_inter,
+        weight_range=(config.net_weight_min, config.net_weight_max),
+        stream=derive_stream(config.seed, _GENNET, 0),
+    )
     net_path = config.out / "contact_network.csv"
     epi.write_contact_network(net_path, net)
     click.echo(f"wrote {net_path}: {net.n} nodes, {net.m} edges")
-    _write_manifest(config, "gen-net", [net_path.name])
+    return [net_path.name]
 
 
-@main.command(name="sweep")
-@_config_option
-@_seed_option
-@_out_option
-@_force_option
-@_workers_option
-def sweep_cmd(config_path, seed, out, force, workers) -> None:
+@_stage(
+    "sweep",
+    upstream=lambda config: None if config.contact_network else "gen-net",
+    workers=True,
+)
+def sweep_cmd(config: RunConfig, workers: int) -> list[str]:
     """Outbreak risk across the assortativity grid."""
-    config = _resolve(config_path, seed, out)
     if config.contact_network is not None:
         _require_inputs(config, "contact_network")
-        net_path = config.contact_network
-    else:
-        _check_upstream(config, "sweep", force)
-        net_path = config.out / "contact_network.csv"
-        if not net_path.exists():
-            raise click.UsageError(f"missing {net_path}; run 'gen-net' first")
-    try:
-        net = epi.read_contact_network(net_path)
-        report = epi.sweep(
-            net,
-            coverage=config.coverage,
-            r_grid=config.r_grid,
-            redistributions_per_r=config.runs_per_r,
-            stream=derive_stream(config.seed, _SWEEP),
-            workers=max(1, workers),
-            max_stall=config.max_stall,
-        )
-    except (ValueError, epi.StallError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    net = epi.read_contact_network(config.contact_network or config.out / "contact_network.csv")
+    report = epi.sweep(
+        net,
+        coverage=config.coverage,
+        r_grid=config.r_grid,
+        redistributions_per_r=config.runs_per_r,
+        stream=derive_stream(config.seed, _SWEEP),
+        workers=workers,
+        max_stall=config.max_stall,
+    )
 
     report_path = config.out / "sweep_report.csv"
     epi.write_sweep_csv(report_path, report)
@@ -598,7 +555,7 @@ def sweep_cmd(config_path, seed, out, force, workers) -> None:
             f"target r {pt.target_r:.3f}: achieved {pt.achieved_r_mean:.4f}, "
             f"P(attack>=3%) = {pt.p_ge_3pct:.4f}, RR = {pt.rr_3pct:.2f}"
         )
-    _write_manifest(config, "sweep", [report_path.name])
+    return [report_path.name]
 
 
 if __name__ == "__main__":

@@ -19,14 +19,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .stats import RandomStream, as_stream, largest_component, wilson_interval
+from . import InputError
+from .stats import RandomStream, as_stream, largest_component, map_chunks, wilson_interval
 
 logger = logging.getLogger(__name__)
 
@@ -575,8 +575,8 @@ def default_r_grid() -> list[float]:
 
 
 def _sweep_chunk(args):
-    (net, coverage, target_r, grid_index, j_start, j_stop, stream, params,
-     max_stall) = args
+    (net, coverage, target_r, grid_index, stream, params, max_stall,
+     j_start, j_stop) = args
     rows = []
     for j in range(j_start, j_stop):
         vac = random_assignment(net, coverage, stream.child(grid_index, j, 0))
@@ -625,30 +625,19 @@ def sweep(
     if redistributions_per_r < 1:
         raise ValueError("redistributions_per_r must be at least 1")
 
-    tasks = []
-    chunk = max(1, math.ceil(redistributions_per_r / max(1, workers * 4)))
-    for gi, target in enumerate(grid):
-        for j0 in range(0, redistributions_per_r, chunk):
-            j1 = min(j0 + chunk, redistributions_per_r)
-            tasks.append(
-                (net, coverage, target, gi, j0, j1, stream, params, max_stall)
-            )
-
-    per_point: dict[int, list[tuple[int, float, float]]] = {gi: [] for gi in range(len(grid))}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for gi, rows in pool.map(_sweep_chunk, tasks):
-                per_point[gi].extend(rows)
-    else:
-        for task in tasks:
-            gi, rows = _sweep_chunk(task)
-            per_point[gi].extend(rows)
+    heads = [
+        (net, coverage, target, gi, stream, params, max_stall)
+        for gi, target in enumerate(grid)
+    ]
+    per_point: list[list[tuple[int, float, float]]] = [[] for _ in grid]
+    for gi, rows in map_chunks(_sweep_chunk, heads, redistributions_per_r, workers):
+        per_point[gi].extend(rows)
 
     thresholds = (0.03, 0.05)
     points = []
     baseline: tuple[float, float] | None = None
     for gi, target in enumerate(grid):
-        rows = sorted(per_point[gi])
+        rows = per_point[gi]
         achieved = np.array([row[1] for row in rows])
         attacks = np.array([row[2] for row in rows])
         runs = attacks.size
@@ -748,21 +737,36 @@ def generate_synthetic_contact_network(
 # --- file formats ---------------------------------------------------------
 
 
+def _integer_rows(path: str | Path, header: list[str]):
+    """Yield (line number, integer fields) for each non-empty row of a CSV
+    whose first line is ``header``; a malformed row raises InputError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != header:
+            raise InputError(f"{path}:1: expected header {','.join(header)}, got {first}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                values = [int(value) for value in row]
+            except ValueError:
+                raise InputError(
+                    f"{path}:{reader.line_num}: expected {len(header)} integer "
+                    f"fields {','.join(header)}, got {','.join(row)!r}"
+                ) from None
+            yield reader.line_num, values
+
+
 def read_contact_network(path: str | Path) -> ContactNetwork:
     """Read a ``u,v,w`` CSV (with header) into a validated network."""
     edges = []
     max_node = -1
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["u", "v", "w"]:
-            raise ValueError(f"expected header u,v,w, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            u, v, w = int(row[0]), int(row[1]), int(row[2])
-            max_node = max(max_node, u, v)
-            edges.append((u, v, w))
+    for _, (u, v, w) in _integer_rows(path, ["u", "v", "w"]):
+        max_node = max(max_node, u, v)
+        edges.append((u, v, w))
     if max_node < 0:
         raise ValueError("contact network file has no edges")
     return ContactNetwork.from_edges(max_node + 1, edges)
@@ -779,22 +783,12 @@ def write_contact_network(path: str | Path, net: ContactNetwork) -> None:
 def read_vaccination(path: str | Path, n: int) -> VaccinationAssignment:
     """Read a ``node,vaccinated`` CSV into an assignment of size n."""
     vaccinated = np.zeros(n, dtype=bool)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node", "vaccinated"]:
-            raise ValueError(f"expected header node,vaccinated, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            node, flag = int(row[0]), row[1].strip()
-            if not 0 <= node < n:
-                raise ValueError(
-                    f"{path}:{reader.line_num}: node {node} outside [0, {n})"
-                )
-            if flag not in ("0", "1"):
-                raise ValueError(f"vaccinated flag must be 0 or 1, got {flag!r}")
-            vaccinated[node] = flag == "1"
+    for line, (node, flag) in _integer_rows(path, ["node", "vaccinated"]):
+        if not 0 <= node < n:
+            raise InputError(f"{path}:{line}: node {node} outside [0, {n})")
+        if flag not in (0, 1):
+            raise InputError(f"{path}:{line}: vaccinated flag must be 0 or 1, got {flag}")
+        vaccinated[node] = flag == 1
     return VaccinationAssignment(vaccinated)
 
 

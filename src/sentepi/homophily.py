@@ -8,15 +8,13 @@ sentiment enrichment of modularity communities.
 from __future__ import annotations
 
 import csv
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .stats import RandomStream, fisher_exact_2x2, wilcoxon_signed_rank_paired
+from .stats import RandomStream, fisher_exact_2x2, map_chunks, wilcoxon_signed_rank_paired
 
 __all__ = [
     "AssortativityResult",
@@ -138,7 +136,7 @@ def _resample_codes(multiset: np.ndarray, gen: np.random.Generator) -> np.ndarra
     return multiset[gen.integers(0, multiset.size, size=multiset.size)]
 
 
-def _null_chunk(args) -> tuple[int, np.ndarray]:
+def _null_chunk(args) -> np.ndarray:
     multiset, src, dst, k, stream, i_start, i_stop = args
     values = np.empty(i_stop - i_start, dtype=float)
     for i in range(i_start, i_stop):
@@ -147,7 +145,7 @@ def _null_chunk(args) -> tuple[int, np.ndarray]:
         values[i - i_start] = _assortativity_from_codes(
             replicate[src], replicate[dst], k
         ).r
-    return i_start, values
+    return values
 
 
 def bootstrap_null(
@@ -173,19 +171,8 @@ def bootstrap_null(
     k = len(types)
     multiset = np.sort(codes)
 
-    values = np.empty(iterations, dtype=float)
-    if workers > 1:
-        chunk = max(1, math.ceil(iterations / (workers * 4)))
-        tasks = [
-            (multiset, src, dst, k, stream, i, min(i + chunk, iterations))
-            for i in range(0, iterations, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i_start, part in pool.map(_null_chunk, tasks):
-                values[i_start : i_start + part.size] = part
-    else:
-        _, values = _null_chunk((multiset, src, dst, k, stream, 0, iterations))
-    return NullDistribution(values=values, stream=stream)
+    parts = map_chunks(_null_chunk, [(multiset, src, dst, k, stream)], iterations, workers)
+    return NullDistribution(values=np.concatenate(parts), stream=stream)
 
 
 def in_fraction(

@@ -2,14 +2,18 @@
 
 Weighted Pearson correlation, Fisher's exact test for 2x2 tables, the
 paired Wilcoxon signed-rank test, the largest connected component of a
-graph, and reproducible splittable random streams. Everything here is a pure function of its inputs; streams are
-addressed by (master seed, path) so parallel workers never share state.
+graph, reproducible splittable random streams, and the process pool
+that parallel callers share. Everything here is a pure function of its
+inputs; streams are addressed by (master seed, path) so parallel workers
+never share state.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -19,6 +23,7 @@ __all__ = [
     "derive_stream",
     "as_stream",
     "largest_component",
+    "map_chunks",
     "weighted_pearson",
     "fisher_exact_2x2",
     "wilcoxon_signed_rank_paired",
@@ -68,6 +73,24 @@ def as_stream(seed_or_stream: "int | RandomStream") -> RandomStream:
     if isinstance(seed_or_stream, RandomStream):
         return seed_or_stream
     return derive_stream(seed_or_stream)
+
+
+def map_chunks(
+    fn: Callable[[tuple], object], heads: Sequence[tuple], n: int, workers: int
+) -> list:
+    """``fn(head + (start, stop))`` for every head and every chunk of range(n).
+
+    Results come back in order: by head, then by chunk. Serially
+    (``workers`` 1) each head is one chunk; otherwise range(n) is cut into
+    about four chunks per worker and the calls run in a pool of
+    ``workers`` processes, so ``fn`` must be a module-level function.
+    """
+    chunk = max(1, n if workers <= 1 else math.ceil(n / (workers * 4)))
+    tasks = [head + (i, min(i + chunk, n)) for head in heads for i in range(0, n, chunk)]
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def largest_component(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

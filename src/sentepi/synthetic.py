@@ -97,25 +97,34 @@ def synthetic_opinionated_network(
         raise ValueError("more edges requested than the graph can hold")
     gen = stream.generator()
     signs_arr = np.where(gen.random(n_nodes) < p_negative, -1, 1)
-    by_sign = {
-        1: np.flatnonzero(signs_arr == 1),
-        -1: np.flatnonzero(signs_arr == -1),
-    }
-    if by_sign[1].size == 0 or by_sign[-1].size == 0:
+    if np.unique(signs_arr).size < 2:
         raise ValueError("one of the sign classes is empty; adjust p_negative")
-
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < n_edges:
-        src = int(gen.integers(n_nodes))
-        if homophily > 0.0 and gen.random() < homophily:
-            pool = by_sign[int(signs_arr[src])]
-            dst = int(pool[gen.integers(pool.size)])
-        else:
-            dst = int(gen.integers(n_nodes))
-        if src != dst:
-            edges.add((src, dst))
+    edges = _homophilous_edges(gen, signs_arr, n_edges, homophily)
     signs = {i: int(signs_arr[i]) for i in range(n_nodes)}
     return signs, sorted(edges)
+
+
+def _homophilous_edges(
+    gen: np.random.Generator, signs: np.ndarray, n_edges: int, homophily: float
+) -> set[tuple[int, int]]:
+    """``n_edges`` distinct directed edges between nodes signed +1 or -1.
+
+    Each draw picks a uniform source, then with probability ``homophily``
+    a uniform target of the source's sign, otherwise a uniform target;
+    self-loops are redrawn.
+    """
+    by_sign = {1: np.flatnonzero(signs == 1), -1: np.flatnonzero(signs == -1)}
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < n_edges:
+        src = int(gen.integers(signs.size))
+        if homophily > 0.0 and gen.random() < homophily:
+            pool = by_sign[int(signs[src])]
+            dst = int(pool[gen.integers(pool.size)])
+        else:
+            dst = int(gen.integers(signs.size))
+        if src != dst:
+            edges.add((src, dst))
+    return edges
 
 
 # Calibrated so that, with everything unvaccinated, the conditional
@@ -224,19 +233,8 @@ def write_pipeline_fixture(
 
     # Social edges with homophily on lean; each edge lands in the
     # followers file, the friends file, or both, exercising both rules.
-    pos_users = np.flatnonzero(user_lean > 0)
-    neg_users = np.flatnonzero(user_lean < 0)
     n_social_edges = min(n_social_edges, n_users * (n_users - 1) // 2)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < n_social_edges:
-        src = int(gen.integers(n_users))
-        if gen.random() < 0.7:
-            pool = pos_users if user_lean[src] > 0 else neg_users
-            dst = int(pool[gen.integers(pool.size)])
-        else:
-            dst = int(gen.integers(n_users))
-        if src != dst:
-            edges.add((src, dst))
+    edges = _homophilous_edges(gen, user_lean, n_social_edges, homophily=0.7)
 
     followers: dict[str, list[str]] = {}
     friends: dict[str, list[str]] = {}

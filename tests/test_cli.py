@@ -1,11 +1,14 @@
 import json
+import re
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
-from sentepi.cli import _parse_grid, load_config, main
+from sentepi.cli import RunConfig, _parse_grid, load_config, main
 from sentepi.synthetic import write_pipeline_fixture
 
 
@@ -45,6 +48,25 @@ class TestConfigParsing:
         loaded = load_config(config, {})
         assert loaded.seed == 5
         assert loaded.coverage == 0.5
+
+    def test_hash_tracks_input_contents_not_paths(self, tmp_path):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "tweets.jsonl").write_text("same bytes\n")
+        a = load_config(None, {"seed": 5, "tweets": tmp_path / "a" / "tweets.jsonl"})
+        b = load_config(None, {"seed": 5, "tweets": tmp_path / "b" / "tweets.jsonl"})
+        assert a.config_hash() == b.config_hash()
+        (tmp_path / "b" / "tweets.jsonl").write_text("other bytes\n")
+        assert a.config_hash() != b.config_hash()
+
+    def test_readme_config_table_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        documented = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+        assert documented == {fld.name for fld in fields(RunConfig)}
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +108,32 @@ def pipeline_dir(tmp_path_factory):
 
 def _run(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+_STAGES = ("train", "classify", "timeseries", "flownet", "homophily", "gen-net", "sweep")
+
+
+@pytest.fixture(scope="module")
+def finished_out(pipeline_dir, tmp_path_factory):
+    """An output directory holding a complete run of all seven stages."""
+    out = tmp_path_factory.mktemp("finished")
+    for stage in _STAGES:
+        result = _run([stage, "--config", str(pipeline_dir["config"]), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    return out
+
+
+@pytest.fixture
+def run_copy(pipeline_dir, finished_out, tmp_path):
+    """Run a stage on a private copy of the finished output directory."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_out, out)
+
+    def run(stage, *extra, config=pipeline_dir["config"]):
+        return _run([stage, "--config", str(config), "--out", str(out), *extra])
+
+    run.out = out
+    return run
 
 
 @pytest.mark.usefixtures("pipeline_dir")
@@ -239,6 +287,73 @@ class TestErrorHandling:
         result = _run(["timeseries", "--config", str(config)])
         assert result.exit_code == 2
         assert f"{coverage}:3:" in result.output
+
+
+class TestStageProtocol:
+    @pytest.mark.parametrize(
+        "deleted, upstream, stage",
+        [
+            ("ensemble_model.json", "train", "classify"),
+            ("predictions.csv", "classify", "timeseries"),
+            ("predictions.csv", "classify", "flownet"),
+            ("opinion_nodes.csv", "flownet", "homophily"),
+            ("contact_network.csv", "gen-net", "sweep"),
+        ],
+    )
+    def test_missing_upstream_output_names_the_stage(self, run_copy, deleted, upstream, stage):
+        (run_copy.out / deleted).unlink()
+        result = run_copy(stage)
+        assert result.exit_code == 2
+        assert f"run '{upstream}' first" in result.output
+        assert deleted in result.output
+
+    @pytest.mark.parametrize(
+        "setting", ["moving_average_window = 0", "start_date = 2009-12-01\nend_date = 2009-09-01"]
+    )
+    def test_timeseries_failure_is_one_error_line_and_no_manifest(
+        self, run_copy, pipeline_dir, tmp_path, setting
+    ):
+        config = tmp_path / "bad.conf"
+        config.write_text(pipeline_dir["config"].read_text() + setting + "\n")
+        assert (run_copy.out / "manifest_timeseries.json").exists()
+        result = run_copy("timeseries", "--force", config=config)
+        assert result.exit_code == 1
+        assert "Error: " in result.output
+        assert not (run_copy.out / "manifest_timeseries.json").exists()
+
+    @pytest.mark.parametrize("stage", ["homophily", "sweep"])
+    def test_zero_workers_is_usage_error(self, run_copy, stage):
+        result = run_copy(stage, "--workers", "0")
+        assert result.exit_code == 2
+        assert "--workers" in result.output
+
+    def test_truncated_input_makes_upstream_stale(self, tmp_path):
+        data = write_pipeline_fixture(tmp_path / "d", seed=8, n_users=30, n_tweets=200)
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"seed = 1\nout = {tmp_path / 'o'}\ntweets = {data['tweets']}\n"
+            f"labels = {data['labels']}\ntest_split = 0\nmaxent_max_iter = 60\n"
+        )
+        for stage in ("train", "classify"):
+            assert _run([stage, "--config", str(config)]).exit_code == 0
+        lines = data["tweets"].read_text().splitlines(keepends=True)
+        data["tweets"].write_text("".join(lines[:100]))
+        result = _run(["timeseries", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "stale upstream" in result.output
+
+    @pytest.mark.parametrize("row, line", [("1,2", 3), ("1,x,120", 3), ("0,1,120,7", 3)])
+    def test_malformed_network_row_is_usage_error_with_location(self, tmp_path, row, line):
+        net = tmp_path / "net.csv"
+        net.write_text(f"u,v,w\n0,1,120\n{row}\n")
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"seed = 1\nout = {tmp_path / 'o'}\ncontact_network = {net}\n"
+            "r_grid = 0\nruns_per_r = 1\n"
+        )
+        result = _run(["sweep", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"net.csv:{line}:" in result.output
 
 
 class TestSeedOverride:

@@ -24,6 +24,7 @@ from sentepi.epi import (
     write_contact_network,
     write_vaccination,
 )
+from sentepi import InputError
 from sentepi.epi import _incubation_steps
 from sentepi.stats import derive_stream
 from sentepi.synthetic import default_contact_network
@@ -128,6 +129,23 @@ class TestContactNetwork:
         path.write_text(f"node,vaccinated\n0,1\n{node},1\n")
         with pytest.raises(ValueError, match=rf"vac\.csv:3: node {node} outside \[0, 3\)"):
             read_vaccination(path, 3)
+
+    @pytest.mark.parametrize(
+        "text, read",
+        [
+            ("u,v,w\n0,1,120\n1,2\n", read_contact_network),
+            ("u,v,w\n0,1,120\n1,x,120\n", read_contact_network),
+            ("node,vaccinated\n0,1\n1\n", lambda path: read_vaccination(path, 3)),
+            ("node,vaccinated\n0,1\nx,1\n", lambda path: read_vaccination(path, 3)),
+        ],
+        ids=["network-short-row", "network-non-integer", "vaccination-short-row",
+             "vaccination-non-integer"],
+    )
+    def test_malformed_row_reports_its_line(self, tmp_path, text, read):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"in\.csv:3: expected [23] integer fields"):
+            read(path)
 
 
 class TestRunSeir:
