@@ -3,11 +3,73 @@
 Classifies short-text vaccine sentiment, analyzes homophily on the
 directed network of opinionated users, and simulates SEIR epidemics on
 weighted contact networks under assortativity-constrained vaccination
-distributions.
+distributions. The table layer below writes every pipeline file whole
+and reports a malformed row of a table it reads as ``path:line:``.
 """
+
+import csv
+import os
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 __version__ = "0.1.0"
 
 
 class InputError(ValueError):
     """A malformed input file; the message starts with ``path:line:``."""
+
+
+def _replace(path: str | Path, write: Callable[[TextIO], object]) -> None:
+    """Write through a sibling temp file and ``os.replace`` it over
+    ``path``; if ``write`` raises, the temp file goes and ``path`` stays."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text``."""
+    _replace(path, lambda fh: fh.write(text))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Replace ``path`` with a CSV of ``header`` followed by ``rows``; a
+    None field is written empty and a float as its ``repr``."""
+
+    def write(fh: TextIO) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _replace(path, write)
+
+
+def read_csv(
+    path: str | Path, header: Sequence[str], parse: Callable, expected: str
+) -> Iterator[tuple[int, object]]:
+    """Yield (line, ``parse(*fields)``) for each non-empty row of a CSV
+    headed ``header``; a wrong header or field count, or a ValueError from
+    ``parse``, raises InputError ``path:line: expected <expected>, got …``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != list(header):
+            raise InputError(f"{path}:1: expected header {','.join(header)}, got {first}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                value = parse(*row)
+            except ValueError:
+                raise InputError(
+                    f"{path}:{reader.line_num}: expected {expected}, got {','.join(row)!r}"
+                ) from None
+            yield reader.line_num, value

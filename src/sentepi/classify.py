@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
+from . import write_text
 from .corpus import LABEL_ORDER, SentimentLabel, TokenVector
 
 logger = logging.getLogger(__name__)
@@ -363,7 +364,7 @@ def save_ensemble(model: EnsembleModel, path: str | Path) -> None:
             "n_iter": model.maxent.n_iter,
         },
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
+    write_text(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
 def load_ensemble(path: str | Path) -> EnsembleModel:

@@ -5,16 +5,17 @@ over file values. All randomness flows from the single master seed
 through per-command stream paths. Every command is a pipeline stage
 registered through :func:`_stage`, which checks the stage's inputs and
 its upstream manifest, deletes the stage's own manifest first and writes
-it last. A manifest is fresh when it records the same configuration
-hash, which covers every setting and the bytes of every input file.
+it last; every file is replaced whole. A manifest is fresh while its
+configuration hash (every setting, each input file by its bytes) and
+the sha256 it records for each output still match.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
-error, including a malformed input row (reported as ``path:line:``).
+error, including a malformed row in the coverage table, the contact
+network or an intermediate file (reported as ``path:line:``).
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import platform
@@ -29,7 +30,7 @@ import click
 import numpy
 import scipy
 
-from . import InputError, __version__
+from . import InputError, __version__, read_csv, write_csv, write_text
 from . import classify as classify_mod
 from . import epi, flownet, homophily, timeseries
 from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
@@ -82,9 +83,13 @@ class RunConfig:
                 continue
             value = getattr(self, f)
             if isinstance(value, Path) and value.is_file():
-                value = hashlib.sha256(value.read_bytes()).hexdigest()
+                value = _sha256(value)
             parts.append(f"{f}={value!r}")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -166,6 +171,10 @@ def _require_inputs(config: RunConfig, *names: str) -> None:
             raise click.UsageError(f"{name} file not found: {path}")
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _write_manifest(config: RunConfig, command: str, outputs: list[str]) -> None:
     manifest = {
         "command": command,
@@ -177,28 +186,37 @@ def _write_manifest(config: RunConfig, command: str, outputs: list[str]) -> None
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
-        "outputs": sorted(outputs),
+        "outputs": {name: _sha256(config.out / name) for name in outputs},
     }
-    path = config.out / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(config.out / f"manifest_{command}.json", manifest)
 
 
 def _check_upstream(config: RunConfig, upstream: str, force: bool) -> None:
+    """Exit 2 unless ``upstream``'s manifest is readable, its outputs exist and
+    it records this config and their bytes; ``force`` warns about staleness."""
     path = config.out / f"manifest_{upstream}.json"
-    manifest = json.loads(path.read_text()) if path.exists() else {"outputs": []}
-    for needed in [path, *(config.out / name for name in manifest["outputs"])]:
-        if not needed.exists():
-            raise click.UsageError(
-                f"missing upstream output: run '{upstream}' first ({needed} not found)"
-            )
-    if manifest["config_hash"] != config.config_hash():
-        if force:
-            click.echo(f"warning: {path.name} is stale; continuing under --force")
-            return
+    try:
+        manifest = json.loads(path.read_text())
+        recorded, outputs = manifest["config_hash"], dict(manifest["outputs"].items())
+        missing = [config.out / name for name in outputs if not (config.out / name).exists()]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        missing = [path]
+    if missing:
+        state = "unreadable" if missing[0].exists() else "not found"
         raise click.UsageError(
-            f"stale upstream: {path.name} was produced under a different "
-            f"configuration; rerun '{upstream}' or pass --force"
+            f"missing upstream output: run '{upstream}' first ({missing[0]} {state})"
         )
+    changed = [name for name, digest in outputs.items() if _sha256(config.out / name) != digest]
+    if recorded != config.config_hash():
+        reason = f"{path.name} was produced under a different configuration"
+    elif changed:
+        reason = f"{changed[0]} changed after '{upstream}' wrote it"
+    else:
+        return
+    if force:
+        click.echo(f"warning: stale upstream: {reason}; continuing under --force")
+        return
+    raise click.UsageError(f"stale upstream: {reason}; rerun '{upstream}' or pass --force")
 
 
 def _load_tweets(config: RunConfig):
@@ -212,28 +230,13 @@ def _load_tweets(config: RunConfig):
 def _labeled_tweets(config: RunConfig) -> list:
     """(tweet, label) pairs for the tweets that ``predictions.csv`` labels."""
     tweets = _load_tweets(config)
-    with open(config.out / "predictions.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        labels = {row[0]: SentimentLabel(row[1]) for row in reader}
+    rows = read_csv(
+        config.out / "predictions.csv", ["tweet_id", "label", "source"],
+        lambda tweet_id, label, source: (tweet_id, SentimentLabel(label)),
+        "tweet_id,label,source with a known label",
+    )
+    labels = dict(row for _, row in rows)
     return [(t, labels[t.id]) for t in tweets if t.id in labels]
-
-
-def _read_coverage(path: Path) -> dict[str, float]:
-    coverage: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().lower() == "region":
-                continue
-            try:
-                coverage[row[0].strip()] = float(row[1])
-            except (IndexError, ValueError):
-                raise InputError(
-                    f"{path}:{reader.line_num}: expected region,coverage "
-                    f"with a numeric coverage, got {','.join(row)!r}"
-                ) from None
-    return coverage
 
 
 _config_option = click.option(
@@ -368,14 +371,11 @@ def classify_cmd(config: RunConfig) -> list[str]:
     unlabeled = [tweet for tweet in tweets if tweet.id not in labels]
     predicted = iter(model.predict_batch([tokenize(tweet.text) for tweet in unlabeled]))
     out_path = config.out / "predictions.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tweet_id", "label", "source"])
-        for tweet in tweets:
-            if tweet.id in labels:
-                writer.writerow([tweet.id, labels[tweet.id].value, "manual"])
-            else:
-                writer.writerow([tweet.id, next(predicted).value, "predicted"])
+    write_csv(out_path, ["tweet_id", "label", "source"], (
+        [tweet.id, labels[tweet.id].value, "manual"] if tweet.id in labels
+        else [tweet.id, next(predicted).value, "predicted"]
+        for tweet in tweets
+    ))
     click.echo(f"wrote {out_path} ({len(unlabeled)} predicted labels)")
     return [out_path.name]
 
@@ -402,13 +402,16 @@ def timeseries_cmd(config: RunConfig) -> list[str]:
 
     if config.coverage_table is not None:
         _require_inputs(config, "coverage_table")
-        coverage = _read_coverage(config.coverage_table)
-        r, p = timeseries.regional_correlation(scores, coverage)
-        corr_path = config.out / "regional_correlation.json"
-        corr_path.write_text(
-            json.dumps({"weighted_r": r, "p_value": p, "n_regions": len(scores)},
-                       sort_keys=True, indent=2) + "\n"
+        rows = read_csv(
+            config.coverage_table, ["region", "coverage"],
+            lambda region, value: (region.strip(), float(value)),
+            "region,coverage with a numeric coverage",
         )
+        coverage = dict(row for _, row in rows)
+        r, p = timeseries.regional_correlation(scores, coverage)
+        n_regions = sum(not rs.empty and rs.region in coverage for rs in scores)
+        corr_path = config.out / "regional_correlation.json"
+        _write_json(corr_path, {"weighted_r": r, "p_value": p, "n_regions": n_regions})
         outputs.append(corr_path.name)
         click.echo(f"weighted r = {r:.4f}, two-sided p = {p:.4g}")
 
@@ -444,20 +447,20 @@ def flownet_cmd(config: RunConfig) -> list[str]:
     return [edges_path.name, nodes_path.name]
 
 
+def _node_sign(user: str, n_pos: str, n_neg: str, n_neu: str, sign: str) -> tuple[str, int]:
+    try:
+        return user, {"positive": 1, "negative": -1}[sign]
+    except KeyError:
+        raise ValueError(sign) from None
+
+
 def _read_opinion_network(config: RunConfig):
-    signs: dict[str, int] = {}
-    with open(config.out / "opinion_nodes.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            signs[row[0]] = 1 if row[4] == "positive" else -1
-    edges = []
-    with open(config.out / "opinion_edges.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            edges.append((row[0], row[1]))
-    return signs, edges
+    nodes = read_csv(
+        config.out / "opinion_nodes.csv", ["id", "n_pos", "n_neg", "n_neu", "sign"],
+        _node_sign, "id,n_pos,n_neg,n_neu,sign with sign positive or negative",
+    )
+    edges = read_csv(config.out / "opinion_edges.csv", ["from", "to"], lambda *e: e, "from,to")
+    return dict(row for _, row in nodes), [edge for _, edge in edges]
 
 
 @_stage("homophily", upstream="flownet", workers=True)
@@ -485,24 +488,17 @@ def homophily_cmd(config: RunConfig, workers: int) -> list[str]:
     summary_path = config.out / "homophily.json"
     homophily.write_null_distribution_csv(null_path, null)
     homophily.write_communities_csv(comm_path, report)
-    summary_path.write_text(
-        json.dumps(
-            {
-                "assortativity_r": observed.r,
-                "degenerate": observed.degenerate,
-                "null_mean": null.mean,
-                "null_ci": [null.ci_low, null.ci_high],
-                "null_max": null.max,
-                "observed_exceeds_null_max": observed.r > null.max,
-                "in_fraction_mean": ftest.original_mean,
-                "in_fraction_significant": ftest.fraction_significant,
-                "n_communities": report.n_communities,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_json(summary_path, {
+        "assortativity_r": observed.r,
+        "degenerate": observed.degenerate,
+        "null_mean": null.mean,
+        "null_ci": [null.ci_low, null.ci_high],
+        "null_max": null.max,
+        "observed_exceeds_null_max": observed.r > null.max,
+        "in_fraction_mean": ftest.original_mean,
+        "in_fraction_significant": ftest.fraction_significant,
+        "n_communities": report.n_communities,
+    })
     click.echo(
         f"r = {observed.r:.4f} (null mean {null.mean:.5f}, max {null.max:.5f}); "
         f"mean f = {ftest.original_mean:.4f}; "

@@ -16,16 +16,15 @@ coefficient incrementally from integer edge counts.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import InputError
+from . import InputError, read_csv, write_csv
 from .stats import RandomStream, as_stream, largest_component, map_chunks, wilson_interval
 
 logger = logging.getLogger(__name__)
@@ -737,53 +736,31 @@ def generate_synthetic_contact_network(
 # --- file formats ---------------------------------------------------------
 
 
-def _integer_rows(path: str | Path, header: list[str]):
-    """Yield (line number, integer fields) for each non-empty row of a CSV
-    whose first line is ``header``; a malformed row raises InputError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != header:
-            raise InputError(f"{path}:1: expected header {','.join(header)}, got {first}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError
-                values = [int(value) for value in row]
-            except ValueError:
-                raise InputError(
-                    f"{path}:{reader.line_num}: expected {len(header)} integer "
-                    f"fields {','.join(header)}, got {','.join(row)!r}"
-                ) from None
-            yield reader.line_num, values
+def _integers(*values: str) -> list[int]:
+    return [int(value) for value in values]
 
 
 def read_contact_network(path: str | Path) -> ContactNetwork:
     """Read a ``u,v,w`` CSV (with header) into a validated network."""
-    edges = []
-    max_node = -1
-    for _, (u, v, w) in _integer_rows(path, ["u", "v", "w"]):
-        max_node = max(max_node, u, v)
-        edges.append((u, v, w))
+    edges = [
+        edge for _, edge in read_csv(path, ["u", "v", "w"], _integers, "3 integer fields u,v,w")
+    ]
+    max_node = max((max(u, v) for u, v, _ in edges), default=-1)
     if max_node < 0:
         raise ValueError("contact network file has no edges")
     return ContactNetwork.from_edges(max_node + 1, edges)
 
 
 def write_contact_network(path: str | Path, net: ContactNetwork) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "w"])
-        for u, v, w in zip(net.edge_u, net.edge_v, net.edge_w):
-            writer.writerow([int(u), int(v), int(w)])
+    rows = zip(net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist())
+    write_csv(path, ["u", "v", "w"], rows)
 
 
 def read_vaccination(path: str | Path, n: int) -> VaccinationAssignment:
     """Read a ``node,vaccinated`` CSV into an assignment of size n."""
     vaccinated = np.zeros(n, dtype=bool)
-    for line, (node, flag) in _integer_rows(path, ["node", "vaccinated"]):
+    expected = "2 integer fields node,vaccinated"
+    for line, (node, flag) in read_csv(path, ["node", "vaccinated"], _integers, expected):
         if not 0 <= node < n:
             raise InputError(f"{path}:{line}: node {node} outside [0, {n})")
         if flag not in (0, 1):
@@ -793,27 +770,8 @@ def read_vaccination(path: str | Path, n: int) -> VaccinationAssignment:
 
 
 def write_vaccination(path: str | Path, vac: VaccinationAssignment) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "vaccinated"])
-        for node, flag in enumerate(vac.vaccinated):
-            writer.writerow([node, int(flag)])
+    write_csv(path, ["node", "vaccinated"], enumerate(vac.vaccinated.astype(int).tolist()))
 
 
 def write_sweep_csv(path: str | Path, report: SweepReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "target_r", "achieved_r_mean", "runs", "p_ge_3pct", "p_ge_5pct",
-                "rr_3pct", "rr_5pct", "ci_low", "ci_high",
-            ]
-        )
-        for pt in report.points:
-            writer.writerow(
-                [
-                    repr(pt.target_r), repr(pt.achieved_r_mean), pt.runs,
-                    repr(pt.p_ge_3pct), repr(pt.p_ge_5pct), repr(pt.rr_3pct),
-                    repr(pt.rr_5pct), repr(pt.ci_low), repr(pt.ci_high),
-                ]
-            )
+    write_csv(path, [f.name for f in fields(SweepPoint)], map(astuple, report.points))

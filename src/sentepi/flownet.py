@@ -8,13 +8,13 @@ snapshot; there are no temporal edge semantics.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 import numpy as np
 
+from . import write_csv
 from .corpus import SentimentLabel, Tally, Tweet, tally_by
 from .stats import largest_component
 
@@ -168,20 +168,12 @@ def read_adjacency(stream: IO | Iterable[str]) -> dict[str, set[str]]:
 
 
 def write_edges_csv(path: str | Path, network) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to"])
-        for a, b in network.edges:
-            writer.writerow([a, b])
+    write_csv(path, ["from", "to"], network.edges)
 
 
 def write_nodes_csv(path: str | Path, network) -> None:
     sign_text = {1: "positive", -1: "negative", 0: "none"}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "n_pos", "n_neg", "n_neu", "sign"])
-        for user in sorted(network.tallies):
-            n_pos, n_neg, n_neu = network.tallies[user]
-            writer.writerow(
-                [user, n_pos, n_neg, n_neu, sign_text[_sign((n_pos, n_neg, n_neu))]]
-            )
+    write_csv(path, ["id", "n_pos", "n_neg", "n_neu", "sign"], (
+        [user, *tally, sign_text[_sign(tally)]]
+        for user, tally in sorted(network.tallies.items())
+    ))

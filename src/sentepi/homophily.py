@@ -7,13 +7,13 @@ sentiment enrichment of modularity communities.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import write_csv
 from .stats import RandomStream, fisher_exact_2x2, map_chunks, wilcoxon_signed_rank_paired
 
 __all__ = [
@@ -175,6 +175,18 @@ def bootstrap_null(
     return NullDistribution(values=np.concatenate(parts), stream=stream)
 
 
+def _in_fractions(src: np.ndarray, dst: np.ndarray, n: int):
+    """Type codes -> same-type in-edge fractions, and the nodes they cover."""
+    indeg = np.bincount(dst, minlength=n)
+    keep = indeg > 0
+
+    def fractions(codes: np.ndarray) -> np.ndarray:
+        same = (codes[src] == codes[dst]).astype(float)
+        return np.bincount(dst, weights=same, minlength=n)[keep] / indeg[keep]
+
+    return fractions, keep
+
+
 def in_fraction(
     labels: Mapping[Hashable, Hashable],
     edges: Sequence[tuple[Hashable, Hashable]],
@@ -183,16 +195,10 @@ def in_fraction(
 
     Nodes with no incoming edges are absent from the result.
     """
-    node_list = sorted(labels)
     codes, src, dst, _ = _code_edges(labels, edges)
-    same = (codes[src] == codes[dst]).astype(float)
-    indeg = np.bincount(dst, minlength=len(node_list))
-    same_in = np.bincount(dst, weights=same, minlength=len(node_list))
-    return {
-        node: same_in[i] / indeg[i]
-        for i, node in enumerate(node_list)
-        if indeg[i] > 0
-    }
+    fractions, keep = _in_fractions(src, dst, codes.size)
+    kept = [node for node, k in zip(sorted(labels), keep) if k]
+    return dict(zip(kept, fractions(codes)))
 
 
 @dataclass(frozen=True)
@@ -222,18 +228,10 @@ def in_fraction_test(
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    node_list = sorted(labels)
     codes, src, dst, _ = _code_edges(labels, edges)
-    indeg = np.bincount(dst, minlength=len(node_list))
-    keep = indeg > 0
+    fractions, keep = _in_fractions(src, dst, codes.size)
     if keep.sum() < 2:
         raise ValueError("need at least 2 nodes with incoming edges")
-
-    def fractions(c: np.ndarray) -> np.ndarray:
-        same = (c[src] == c[dst]).astype(float)
-        same_in = np.bincount(dst, weights=same, minlength=len(node_list))
-        return same_in[keep] / indeg[keep]
-
     original = fractions(codes)
     multiset = np.sort(codes)
     p_values = np.empty(iterations, dtype=float)
@@ -486,18 +484,9 @@ def community_enrichment(
 
 
 def write_null_distribution_csv(path: str | Path, null: NullDistribution) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "r"])
-        for i, value in enumerate(null.values):
-            writer.writerow([i, repr(float(value))])
+    write_csv(path, ["replicate", "r"], enumerate(null.values.tolist()))
 
 
 def write_communities_csv(path: str | Path, report: CommunityReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["community_id", "size", "p_neg", "fisher_p", "direction"])
-        for row in report.rows:
-            writer.writerow(
-                [row.community_id, row.size, repr(row.p_neg), repr(row.fisher_p), row.direction]
-            )
+    header = [f.name for f in fields(CommunityStats)]
+    write_csv(path, header, map(astuple, report.rows))

@@ -7,12 +7,12 @@ relevant tweets carry an empty marker rather than a zero score.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import write_csv
 from .corpus import SentimentLabel, Tweet, tally_by
 from .stats import weighted_pearson
 
@@ -161,34 +161,22 @@ def regional_correlation(
     return weighted_pearson(xs, ys, ws)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def write_daily_counts_csv(path: str | Path, series: Sequence[DailyCounts]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "n_pos", "n_neg", "n_neu", "score"])
-        for row in series:
-            writer.writerow(
-                [row.date.isoformat(), row.n_pos, row.n_neg, row.n_neu, _fmt(row.score)]
-            )
+    write_csv(path, ["date", "n_pos", "n_neg", "n_neu", "score"], (
+        [row.date.isoformat(), row.n_pos, row.n_neg, row.n_neu, row.score]
+        for row in series
+    ))
 
 
 def write_moving_average_csv(
     path: str | Path, series: Sequence[DailyCounts], window: int = 14
 ) -> None:
     smoothed = moving_average([row.score for row in series], window=window)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "score", "moving_avg"])
-        for row, avg in zip(series, smoothed):
-            writer.writerow([row.date.isoformat(), _fmt(row.score), _fmt(avg)])
+    write_csv(path, ["date", "score", "moving_avg"], (
+        [row.date.isoformat(), row.score, avg]
+        for row, avg in zip(series, smoothed)
+    ))
 
 
 def write_region_scores_csv(path: str | Path, scores: Sequence[RegionScore]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "score", "weight"])
-        for rs in scores:
-            writer.writerow([rs.region, repr(rs.score), rs.weight])
+    write_csv(path, ["region", "score", "weight"], map(astuple, scores))

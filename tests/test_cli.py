@@ -237,7 +237,12 @@ class TestErrorHandling:
         payload = json.loads(model_path.read_text())
         payload["format_version"] = 99
         model_path.write_text(json.dumps(payload))
-        result = _run(["classify", "--config", str(config)])
+        # the edited model no longer matches train's manifest...
+        stale = _run(["classify", "--config", str(config)])
+        assert stale.exit_code == 2
+        assert "ensemble_model.json changed" in stale.output
+        # ...and loading it anyway fails at run time
+        result = _run(["classify", "--config", str(config), "--force"])
         assert result.exit_code == 1
         assert "version" in result.output
 
@@ -306,6 +311,60 @@ class TestStageProtocol:
         assert result.exit_code == 2
         assert f"run '{upstream}' first" in result.output
         assert deleted in result.output
+
+    def test_unreadable_upstream_manifest_means_run_it_first(self, run_copy):
+        manifest = run_copy.out / "manifest_flownet.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        result = run_copy("homophily")
+        assert result.exit_code == 2
+        assert "run 'flownet' first" in result.output
+        assert "unreadable" in result.output
+
+    def test_edited_upstream_output_is_stale(self, run_copy):
+        predictions = run_copy.out / "predictions.csv"
+        text = predictions.read_text()
+        assert ",positive," in text
+        predictions.write_text(text.replace(",positive,", ",negative,", 1))
+        result = run_copy("timeseries")
+        assert result.exit_code == 2
+        assert "stale upstream: predictions.csv changed" in result.output
+        forced = run_copy("timeseries", "--force")
+        assert forced.exit_code == 0, forced.output
+        assert "warning: stale upstream: predictions.csv changed" in forced.output
+
+    @pytest.mark.parametrize(
+        "name, row, stage",
+        [
+            ("opinion_nodes.csv", "u9999,1", "homophily"),
+            ("opinion_nodes.csv", "u9999,1,0,0,none", "homophily"),
+            ("predictions.csv", "t9999,bogus,manual", "timeseries"),
+        ],
+        ids=["nodes-short-row", "nodes-bad-sign", "predictions-unknown-label"],
+    )
+    def test_malformed_intermediate_row_is_usage_error_with_location(
+        self, run_copy, name, row, stage
+    ):
+        path = run_copy.out / name
+        line = len(path.read_text().splitlines()) + 1
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        result = run_copy(stage, "--force")
+        assert result.exit_code == 2
+        assert f"{name}:{line}: expected " in result.output
+
+    def test_regional_correlation_counts_the_regions_it_used(
+        self, run_copy, pipeline_dir, tmp_path
+    ):
+        rows = (pipeline_dir["root"] / "data" / "coverage.csv").read_text().splitlines()
+        assert len(rows) == 11
+        partial = tmp_path / "coverage.csv"
+        partial.write_text("\n".join(rows[:6]) + "\n")
+        config = tmp_path / "partial.conf"
+        config.write_text(pipeline_dir["config"].read_text() + f"coverage_table = {partial}\n")
+        result = run_copy("timeseries", "--force", config=config)
+        assert result.exit_code == 0, result.output
+        corr = json.loads((run_copy.out / "regional_correlation.json").read_text())
+        assert corr["n_regions"] == 5
 
     @pytest.mark.parametrize(
         "setting", ["moving_average_window = 0", "start_date = 2009-12-01\nend_date = 2009-09-01"]
