@@ -373,7 +373,10 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
     Fails loudly on other format versions, version 1 included: its
     files hold the vocabulary once per sub-model and must be retrained.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a readable model file: {exc}") from None
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(

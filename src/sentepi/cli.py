@@ -4,14 +4,15 @@ Commands share one flat ``key = value`` configuration file; flags win
 over file values. All randomness flows from the single master seed
 through per-command stream paths. Every command is a pipeline stage
 registered through :func:`_stage`, which checks the stage's inputs and
-its upstream manifest, deletes the stage's own manifest first and writes
-it last; every file is replaced whole. A manifest is fresh while its
-configuration hash (every setting, each input file by its bytes) and
-the sha256 it records for each output still match.
+its upstream chain, deletes its own manifest first and writes it last;
+every file is replaced whole. A manifest is fresh while its ``reads``
+(each config key the stage read; a file by its sha256), ``upstream``
+and ``outputs`` (the sha256 of each file consumed and written) match.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
-error, including a malformed row in the coverage table, the contact
-network or an intermediate file (reported as ``path:line:``).
+error, including a config value out of range and a malformed row in the
+coverage table, the contact network, an adjacency list or an
+intermediate file (reported as ``path:line:``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .stats import derive_stream
 
 # Stream path roots, one per command.
 _TRAIN, _CLASSIFY, _TIMESERIES, _FLOWNET, _HOMOPHILY, _GENNET, _SWEEP = range(7)
+_STAGES: dict = {}  # name -> (required input keys, config -> upstream stage or None)
 
 
 @dataclass
@@ -74,22 +76,25 @@ class RunConfig:
     net_weight_min: int = 90
     net_weight_max: int = 210
 
-    def config_hash(self) -> str:
-        """Hash of every semantic setting, with each existing input file
-        standing for the sha256 of its bytes; the output directory is excluded."""
-        parts = []
-        for f in sorted(fld.name for fld in fields(self)):
-            if f == "out":
-                continue
-            value = getattr(self, f)
-            if isinstance(value, Path) and value.is_file():
-                value = _sha256(value)
-            parts.append(f"{f}={value!r}")
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    def fingerprint(self, key: str) -> str:
+        """``key`` as a manifest records it: a file by the sha256 of its bytes."""
+        value = getattr(self, key)
+        return _sha256(value) if isinstance(value, Path) and value.is_file() else repr(value)
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class _Reads:
+    """The config as a stage body sees it, recording each key it reads."""
+
+    def __init__(self, config: RunConfig) -> None:
+        self._config, self.keys = config, set()
+
+    def __getattr__(self, key: str):
+        self.keys.add(key)
+        return getattr(self._config, key)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -125,6 +130,13 @@ def _reader(hint) -> Callable[[object], object]:
 
 
 _READERS = {key: _reader(hint) for key, hint in get_type_hints(RunConfig).items()}
+_RANGES = {
+    "coverage": (lambda value: 0 <= value <= 1, "in [0, 1]"),
+    "test_split": (lambda value: 0 <= value < 1, "in [0, 1)"),
+    **{key: (lambda value: value >= 1, "at least 1") for key in (
+        "moving_average_window", "bootstrap_iterations", "in_fraction_iterations", "runs_per_r"
+    )},
+}
 
 
 def load_config(path: Path | None, overrides: dict) -> RunConfig:
@@ -159,6 +171,9 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
     config = RunConfig(**kwargs)  # type: ignore[arg-type]
     if any(b <= a for a, b in zip(config.r_grid, config.r_grid[1:])):
         raise click.UsageError("r_grid must be strictly ascending")
+    for key, (valid, allowed) in _RANGES.items():
+        if not valid(getattr(config, key)):
+            raise click.UsageError(f"{key} must be {allowed}, got {getattr(config, key)!r}")
     return config
 
 
@@ -175,10 +190,13 @@ def _write_json(path: Path, payload: dict) -> None:
     write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_manifest(config: RunConfig, command: str, outputs: list[str]) -> None:
+def _write_manifest(
+    config: RunConfig, command: str, reads: set[str], consumed: dict[str, str], outputs: list[str]
+) -> None:
     manifest = {
         "command": command,
-        "config_hash": config.config_hash(),
+        "reads": {key: config.fingerprint(key) for key in sorted(reads - {"out"})},
+        "upstream": consumed,
         "seed": config.seed,
         "versions": {
             "sentepi": __version__,
@@ -191,32 +209,39 @@ def _write_manifest(config: RunConfig, command: str, outputs: list[str]) -> None
     _write_json(config.out / f"manifest_{command}.json", manifest)
 
 
-def _check_upstream(config: RunConfig, upstream: str, force: bool) -> None:
-    """Exit 2 unless ``upstream``'s manifest is readable, its outputs exist and
-    it records this config and their bytes; ``force`` warns about staleness."""
-    path = config.out / f"manifest_{upstream}.json"
-    try:
-        manifest = json.loads(path.read_text())
-        recorded, outputs = manifest["config_hash"], dict(manifest["outputs"].items())
-        missing = [config.out / name for name in outputs if not (config.out / name).exists()]
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        missing = [path]
-    if missing:
-        state = "unreadable" if missing[0].exists() else "not found"
-        raise click.UsageError(
-            f"missing upstream output: run '{upstream}' first ({missing[0]} {state})"
-        )
-    changed = [name for name, digest in outputs.items() if _sha256(config.out / name) != digest]
-    if recorded != config.config_hash():
-        reason = f"{path.name} was produced under a different configuration"
-    elif changed:
-        reason = f"{changed[0]} changed after '{upstream}' wrote it"
-    else:
-        return
-    if force:
-        click.echo(f"warning: stale upstream: {reason}; continuing under --force")
-        return
-    raise click.UsageError(f"stale upstream: {reason}; rerun '{upstream}' or pass --force")
+def _check_upstream(config: RunConfig, name: str, force: bool) -> dict[str, str]:
+    """Walk the stages above ``name``, exiting 2 on a missing manifest or output or a stale
+    stage (``force`` warns); return the sha256 of the upstream outputs ``name`` consumes."""
+    consumed, consumer, stage = {}, None, _STAGES[name][1](config)
+    while stage is not None:
+        path = config.out / f"manifest_{stage}.json"
+        try:
+            manifest = json.loads(path.read_text())
+            reads, outputs = dict(manifest["reads"].items()), dict(manifest["outputs"].items())
+            keys = [key for key, value in reads.items() if config.fingerprint(key) != value]
+            missing = [config.out / file for file in outputs if not (config.out / file).exists()]
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            missing = [path]
+        if missing:
+            state = "unreadable" if missing[0].exists() else "not found"
+            raise click.UsageError(
+                f"missing upstream output: run '{stage}' first ({missing[0]} {state})"
+            )
+        now = {file: _sha256(config.out / file) for file in outputs}
+        rerun, reason = stage, None
+        if keys:
+            reason = f"'{stage}' read a different {keys[0]}"
+        elif changed := [file for file, digest in outputs.items() if now[file] != digest]:
+            reason = f"{changed[0]} changed after '{stage}' wrote it"
+        elif consumer and consumer[1] != now:
+            rerun, reason = consumer[0], f"'{consumer[0]}' consumed older outputs of '{stage}'"
+        if reason and not force:
+            raise click.UsageError(f"stale upstream: {reason}; rerun '{rerun}' or pass --force")
+        if reason:
+            click.echo(f"warning: stale upstream: {reason}; continuing under --force")
+        consumed, consumer = (consumed if consumer else now), (stage, manifest.get("upstream"))
+        stage = _STAGES[stage][1](config)
+    return consumed
 
 
 def _load_tweets(config: RunConfig):
@@ -281,29 +306,30 @@ def _stage(
 ):
     """Register the decorated body as the pipeline stage command ``name``.
 
-    The body takes the resolved config (and ``workers=`` when ``workers``
-    is set) and returns the names of the files it wrote in ``out``.
-    ``inputs`` are the config keys naming files the stage requires;
-    ``upstream`` is the stage whose manifest must be fresh, or a function
-    of the config giving it (None: no upstream). ``--force`` is offered
-    only to stages with an upstream.
+    The body takes a view of the config that records the keys it reads
+    (and ``workers=`` when ``workers`` is set) and returns the names of
+    the files it wrote in ``out``. ``inputs`` are the config keys naming
+    files the stage requires; ``upstream`` is the stage whose outputs it
+    consumes, or a function of the config giving it (None: no upstream).
+    ``--force`` is offered only to stages with an upstream.
     """
 
     def register(body):
         def command(config_path, seed, out, force=False, **kwargs) -> None:
             config = _resolve(config_path, seed, out)
             _require_inputs(config, *inputs)
-            source = upstream(config) if callable(upstream) else upstream
-            if source is not None:
-                _check_upstream(config, source, force)
+            consumed = _check_upstream(config, name, force)
             (config.out / f"manifest_{name}.json").unlink(missing_ok=True)
+            reads = _Reads(config)
             try:
-                outputs = body(config, **kwargs)
+                outputs = body(reads, **kwargs)
             except InputError as exc:
                 raise click.UsageError(str(exc)) from exc
             except (ValueError, ArithmeticError, epi.StallError) as exc:
                 raise click.ClickException(str(exc)) from exc
-            _write_manifest(config, name, outputs)
+            _write_manifest(config, name, reads.keys, consumed, outputs)
+
+        _STAGES[name] = (inputs, upstream if callable(upstream) else lambda config: upstream)
 
         options = [_config_option, _seed_option, _out_option]
         if upstream is not None:
@@ -459,8 +485,18 @@ def _read_opinion_network(config: RunConfig):
         config.out / "opinion_nodes.csv", ["id", "n_pos", "n_neg", "n_neu", "sign"],
         _node_sign, "id,n_pos,n_neg,n_neu,sign with sign positive or negative",
     )
-    edges = read_csv(config.out / "opinion_edges.csv", ["from", "to"], lambda *e: e, "from,to")
-    return dict(row for _, row in nodes), [edge for _, edge in edges]
+    signs = dict(row for _, row in nodes)
+
+    def edge(source: str, target: str) -> tuple[str, str]:
+        if source not in signs or target not in signs:
+            raise ValueError(source, target)
+        return source, target
+
+    edges = read_csv(
+        config.out / "opinion_edges.csv", ["from", "to"], edge,
+        "from,to with both ends in opinion_nodes.csv",
+    )
+    return signs, [pair for _, pair in edges]
 
 
 @_stage("homophily", upstream="flownet", workers=True)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import InputError, read_csv, write_csv
+from . import read_csv, write_csv
 from .stats import RandomStream, as_stream, largest_component, map_chunks, wilson_interval
 
 logger = logging.getLogger(__name__)
@@ -51,8 +51,6 @@ __all__ = [
     "generate_synthetic_contact_network",
     "read_contact_network",
     "write_contact_network",
-    "read_vaccination",
-    "write_vaccination",
     "write_sweep_csv",
 ]
 
@@ -754,23 +752,6 @@ def read_contact_network(path: str | Path) -> ContactNetwork:
 def write_contact_network(path: str | Path, net: ContactNetwork) -> None:
     rows = zip(net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist())
     write_csv(path, ["u", "v", "w"], rows)
-
-
-def read_vaccination(path: str | Path, n: int) -> VaccinationAssignment:
-    """Read a ``node,vaccinated`` CSV into an assignment of size n."""
-    vaccinated = np.zeros(n, dtype=bool)
-    expected = "2 integer fields node,vaccinated"
-    for line, (node, flag) in read_csv(path, ["node", "vaccinated"], _integers, expected):
-        if not 0 <= node < n:
-            raise InputError(f"{path}:{line}: node {node} outside [0, {n})")
-        if flag not in (0, 1):
-            raise InputError(f"{path}:{line}: vaccinated flag must be 0 or 1, got {flag}")
-        vaccinated[node] = flag == 1
-    return VaccinationAssignment(vaccinated)
-
-
-def write_vaccination(path: str | Path, vac: VaccinationAssignment) -> None:
-    write_csv(path, ["node", "vaccinated"], enumerate(vac.vaccinated.astype(int).tolist()))
 
 
 def write_sweep_csv(path: str | Path, report: SweepReport) -> None:

@@ -14,7 +14,7 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from . import write_csv
+from . import InputError, write_csv
 from .corpus import SentimentLabel, Tally, Tweet, tally_by
 from .stats import largest_component
 
@@ -153,15 +153,19 @@ def giant_component(network):
 
 
 def read_adjacency(stream: IO | Iterable[str]) -> dict[str, set[str]]:
-    """Parse ``user_id: comma-separated ids`` lines into a mapping."""
+    """Parse ``user_id: comma-separated ids`` lines into a mapping; a
+    non-blank line without ``:`` raises InputError ``name:line:``."""
     out: dict[str, set[str]] = {}
-    for raw in stream:
+    for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8", errors="replace")
         line = raw.strip()
         if not line:
             continue
-        user, _, rest = line.partition(":")
+        user, colon, rest = line.partition(":")
+        if not colon:
+            name = getattr(stream, "name", "<adjacency>")
+            raise InputError(f"{name}:{lineno}: expected user_id: ids, got {line!r}")
         ids = {part.strip() for part in rest.split(",") if part.strip()}
         out.setdefault(user.strip(), set()).update(ids)
     return out

@@ -8,6 +8,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from sentepi import cli
 from sentepi.cli import RunConfig, _parse_grid, load_config, main
 from sentepi.synthetic import write_pipeline_fixture
 
@@ -28,19 +29,22 @@ class TestConfigParsing:
         with pytest.raises(click.UsageError):
             _parse_grid("a,b")
 
-    def test_hash_ignores_output_directory(self, tmp_path):
-        config = tmp_path / "c.conf"
-        config.write_text("seed = 5\n")
-        a = load_config(config, {"out": Path("one")})
-        b = load_config(config, {"out": Path("two")})
-        assert a.config_hash() == b.config_hash()
+    def test_hash_ignores_output_directory(self, run_copy, finished_out):
+        # rerun in another directory: the manifest records no output path
+        assert run_copy.out != finished_out
+        assert run_copy("train").exit_code == 0
+        manifest = (run_copy.out / "manifest_train.json").read_bytes()
+        assert "out" not in json.loads(manifest)["reads"]
+        assert manifest == (finished_out / "manifest_train.json").read_bytes()
 
-    def test_hash_tracks_semantic_keys(self, tmp_path):
+    def test_hash_tracks_semantic_keys(self, run_copy, pipeline_dir, tmp_path):
+        manifest = json.loads((run_copy.out / "manifest_train.json").read_text())
+        assert manifest["reads"]["nb_smoothing"] == "1.0"
         config = tmp_path / "c.conf"
-        config.write_text("seed = 5\n")
-        a = load_config(config, {})
-        b = load_config(config, {"seed": 6})
-        assert a.config_hash() != b.config_hash()
+        config.write_text(pipeline_dir["config"].read_text() + "nb_smoothing = 2.0\n")
+        result = run_copy("classify", config=config)
+        assert result.exit_code == 2
+        assert "stale upstream: 'train' read a different nb_smoothing" in result.output
 
     def test_comments_and_blank_lines_allowed(self, tmp_path):
         config = tmp_path / "c.conf"
@@ -49,15 +53,19 @@ class TestConfigParsing:
         assert loaded.seed == 5
         assert loaded.coverage == 0.5
 
-    def test_hash_tracks_input_contents_not_paths(self, tmp_path):
-        for name in ("a", "b"):
-            (tmp_path / name).mkdir()
-            (tmp_path / name / "tweets.jsonl").write_text("same bytes\n")
-        a = load_config(None, {"seed": 5, "tweets": tmp_path / "a" / "tweets.jsonl"})
-        b = load_config(None, {"seed": 5, "tweets": tmp_path / "b" / "tweets.jsonl"})
-        assert a.config_hash() == b.config_hash()
-        (tmp_path / "b" / "tweets.jsonl").write_text("other bytes\n")
-        assert a.config_hash() != b.config_hash()
+    def test_hash_tracks_input_contents_not_paths(self, run_copy, pipeline_dir, tmp_path):
+        data, copied = pipeline_dir["root"] / "data", tmp_path / "copied"
+        shutil.copytree(data, copied)
+        config = tmp_path / "c.conf"
+        config.write_text(pipeline_dir["config"].read_text().replace(str(data), str(copied)))
+        fresh = run_copy("timeseries", config=config)
+        assert fresh.exit_code == 0, fresh.output
+        assert "warning" not in fresh.output
+        with open(copied / "labels.csv", "a") as fh:
+            fh.write("\n")
+        stale = run_copy("timeseries", config=config)
+        assert stale.exit_code == 2
+        assert "stale upstream: 'classify' read a different labels" in stale.output
 
     def test_readme_config_table_names_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -67,6 +75,21 @@ class TestConfigParsing:
             if line.startswith("| `"):
                 documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
         assert documented == {fld.name for fld in fields(RunConfig)}
+
+    def test_readme_stage_table_matches_the_registered_stages(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| stage | upstream stage | required keys |", 1)[1]
+        rows = [line for line in table.split("\n\n", 1)[0].splitlines() if line.startswith("| `")]
+        names = [re.findall(r"`([\w-]+)`", row)[0] for row in rows]
+        assert names == list(cli._STAGES)
+        for name, row in zip(names, rows):
+            _, upstream, required = row.split("|")[1:4]
+            inputs, find_upstream = cli._STAGES[name]
+            assert inputs == tuple(re.findall(r"`(\w+)`", required.split("(")[0])), row
+            documented = re.findall(r"`([\w-]+)`", upstream)[:1] or [None]
+            assert find_upstream(RunConfig(seed=0)) == documented[0], row
+            for key in re.findall(r"none when `(\w+)` is set", upstream):
+                assert find_upstream(RunConfig(seed=0, **{key: Path("x")})) is None, row
 
 
 @pytest.fixture(scope="module")
@@ -257,8 +280,8 @@ class TestErrorHandling:
         config.write_text("seed = 1\n" + base)
         assert _run(["train", "--config", str(config)]).exit_code == 0
 
-        # classifying under a different seed must refuse...
-        config.write_text("seed = 2\n" + base)
+        # classifying under a different smoothing must refuse...
+        config.write_text("seed = 1\nnb_smoothing = 2\n" + base)
         stale = _run(["classify", "--config", str(config)])
         assert stale.exit_code == 2
         assert "stale" in stale.output
@@ -266,6 +289,28 @@ class TestErrorHandling:
         forced = _run(["classify", "--config", str(config), "--force"])
         assert forced.exit_code == 0, forced.output
 
+    def test_truncated_model_is_runtime_failure_naming_the_file(self, run_copy):
+        model = run_copy.out / "ensemble_model.json"
+        model.write_bytes(model.read_bytes()[:300])
+        result = run_copy("classify", "--force")
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "ensemble_model.json" in errors[0]
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "coverage = 1.5", "coverage = -0.1", "test_split = 1", "test_split = -0.2",
+            "moving_average_window = 0", "bootstrap_iterations = 0",
+            "in_fraction_iterations = -1", "runs_per_r = 0",
+        ],
+    )
+    def test_out_of_range_value_is_usage_error_naming_the_key(self, tmp_path, setting):
+        config = tmp_path / "c.conf"
+        config.write_text(f"seed = 1\nout = {tmp_path / 'o'}\n{setting}\n")
+        result = _run(["train", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"{setting.split(' =')[0]} must be" in result.output
 
     def test_sweep_without_gen_net_manifest_is_usage_error(self, tmp_path):
         out = tmp_path / "o"
@@ -320,6 +365,48 @@ class TestStageProtocol:
         assert "run 'flownet' first" in result.output
         assert "unreadable" in result.output
 
+    def test_old_format_manifest_means_run_it_first(self, run_copy):
+        manifest = run_copy.out / "manifest_flownet.json"
+        payload = json.loads(manifest.read_text())
+        del payload["reads"], payload["upstream"]
+        manifest.write_text(json.dumps({**payload, "config_hash": "0" * 64}))
+        result = run_copy("homophily")
+        assert result.exit_code == 2
+        assert "run 'flownet' first" in result.output
+        assert "unreadable" in result.output
+
+    def test_key_no_upstream_read_keeps_it_fresh(self, run_copy, pipeline_dir, tmp_path):
+        # train and classify never read the smoothing window
+        config = tmp_path / "c.conf"
+        config.write_text(pipeline_dir["config"].read_text() + "moving_average_window = 7\n")
+        result = run_copy("timeseries", config=config)
+        assert result.exit_code == 0, result.output
+        assert "warning" not in result.output
+
+    def test_staleness_is_transitive(self, run_copy, pipeline_dir, tmp_path):
+        config = tmp_path / "c.conf"
+        config.write_text(pipeline_dir["config"].read_text() + "maxent_l2 = 0.5\n")
+        stale = run_copy("timeseries", config=config)
+        assert stale.exit_code == 2
+        assert "'train' read a different maxent_l2; rerun 'train'" in stale.output
+        forced = run_copy("timeseries", "--force", config=config)
+        assert forced.exit_code == 0, forced.output
+        assert "warning: stale upstream: 'train' read a different maxent_l2" in forced.output
+
+        # retraining leaves classify holding predictions from the old model
+        assert run_copy("train", config=config).exit_code == 0
+        stale = run_copy("timeseries", config=config)
+        assert stale.exit_code == 2
+        assert "'classify' consumed older outputs of 'train'; rerun 'classify'" in stale.output
+        forced = run_copy("timeseries", "--force", config=config)
+        assert forced.exit_code == 0, forced.output
+        assert "warning: stale upstream: 'classify' consumed older" in forced.output
+
+        assert run_copy("classify", config=config).exit_code == 0
+        fresh = run_copy("timeseries", config=config)
+        assert fresh.exit_code == 0, fresh.output
+        assert "warning" not in fresh.output
+
     def test_edited_upstream_output_is_stale(self, run_copy):
         predictions = run_copy.out / "predictions.csv"
         text = predictions.read_text()
@@ -338,8 +425,10 @@ class TestStageProtocol:
             ("opinion_nodes.csv", "u9999,1", "homophily"),
             ("opinion_nodes.csv", "u9999,1,0,0,none", "homophily"),
             ("predictions.csv", "t9999,bogus,manual", "timeseries"),
+            ("opinion_edges.csv", "u0001,zzz", "homophily"),
         ],
-        ids=["nodes-short-row", "nodes-bad-sign", "predictions-unknown-label"],
+        ids=["nodes-short-row", "nodes-bad-sign", "predictions-unknown-label",
+             "edges-unknown-endpoint"],
     )
     def test_malformed_intermediate_row_is_usage_error_with_location(
         self, run_copy, name, row, stage
@@ -367,13 +456,18 @@ class TestStageProtocol:
         assert corr["n_regions"] == 5
 
     @pytest.mark.parametrize(
-        "setting", ["moving_average_window = 0", "start_date = 2009-12-01\nend_date = 2009-09-01"]
+        "setting",
+        ["coverage_table = {two_regions}", "start_date = 2009-12-01\nend_date = 2009-09-01"],
     )
     def test_timeseries_failure_is_one_error_line_and_no_manifest(
         self, run_copy, pipeline_dir, tmp_path, setting
     ):
+        two_regions = tmp_path / "coverage.csv"
+        two_regions.write_text("region,coverage\nR01,0.5\nR02,0.7\n")
         config = tmp_path / "bad.conf"
-        config.write_text(pipeline_dir["config"].read_text() + setting + "\n")
+        config.write_text(
+            pipeline_dir["config"].read_text() + setting.format(two_regions=two_regions) + "\n"
+        )
         assert (run_copy.out / "manifest_timeseries.json").exists()
         result = run_copy("timeseries", "--force", config=config)
         assert result.exit_code == 1

@@ -14,7 +14,6 @@ from sentepi.epi import (
     generate_synthetic_contact_network,
     random_assignment,
     read_contact_network,
-    read_vaccination,
     redistribute,
     run_seir,
     sample_incubation,
@@ -22,7 +21,6 @@ from sentepi.epi import (
     transmission_probability,
     vaccination_assortativity,
     write_contact_network,
-    write_vaccination,
 )
 from sentepi import InputError
 from sentepi.epi import _incubation_steps
@@ -115,31 +113,13 @@ class TestContactNetwork:
         assert np.array_equal(loaded.edge_u, net.edge_u)
         assert np.array_equal(loaded.edge_w, net.edge_w)
 
-    def test_vaccination_csv_round_trip(self, tmp_path):
-        vac = VaccinationAssignment(np.array([True, False, True]))
-        path = tmp_path / "vac.csv"
-        write_vaccination(path, vac)
-        loaded = read_vaccination(path, 3)
-        assert np.array_equal(loaded.vaccinated, vac.vaccinated)
-        assert loaded.coverage == pytest.approx(2 / 3)
-
-    @pytest.mark.parametrize("node", [-1, 3])
-    def test_vaccination_node_outside_range_rejected(self, tmp_path, node):
-        path = tmp_path / "vac.csv"
-        path.write_text(f"node,vaccinated\n0,1\n{node},1\n")
-        with pytest.raises(ValueError, match=rf"vac\.csv:3: node {node} outside \[0, 3\)"):
-            read_vaccination(path, 3)
-
     @pytest.mark.parametrize(
         "text, read",
         [
             ("u,v,w\n0,1,120\n1,2\n", read_contact_network),
             ("u,v,w\n0,1,120\n1,x,120\n", read_contact_network),
-            ("node,vaccinated\n0,1\n1\n", lambda path: read_vaccination(path, 3)),
-            ("node,vaccinated\n0,1\nx,1\n", lambda path: read_vaccination(path, 3)),
         ],
-        ids=["network-short-row", "network-non-integer", "vaccination-short-row",
-             "vaccination-non-integer"],
+        ids=["network-short-row", "network-non-integer"],
     )
     def test_malformed_row_reports_its_line(self, tmp_path, text, read):
         path = tmp_path / "in.csv"

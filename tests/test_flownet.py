@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentepi import InputError
+
 from sentepi.flownet import (
     FlowNetwork,
     OpinionatedNetwork,
@@ -144,3 +146,10 @@ class TestReadAdjacency:
     def test_repeated_users_merge(self):
         adj = read_adjacency(io.StringIO("u1: a\nu1: b\n"))
         assert adj == {"u1": {"a", "b"}}
+
+    def test_line_without_colon_is_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "followers.txt"
+        path.write_text("u1: u2\n\nu1 u2 u3\n")
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(InputError, match=r"followers\.txt:3: expected user_id: ids"):
+                read_adjacency(fh)
