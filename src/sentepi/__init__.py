@@ -56,7 +56,7 @@ def read_csv(
     """Yield (line, ``parse(*fields)``) for each non-empty row of a CSV
     headed ``header``; a wrong header or field count, or a ValueError from
     ``parse``, raises InputError ``path:line: expected <expected>, got …``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first != list(header):

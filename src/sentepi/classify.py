@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 from scipy import sparse
@@ -345,26 +345,36 @@ def evaluate_accuracy(model, testset: Sequence[LabeledDoc]) -> float:
     return hits / len(testset)
 
 
+# What a model file stores per sub-model: every field but the labels and
+# vocabulary, which the file holds once for both.
+_SHARED = ("labels", "vocabulary")
+_SUBMODELS = {"nb": NaiveBayesModel, "maxent": MaxEntModel}
+
+
+def _schema(cls) -> dict[str, type]:
+    return {name: hint for name, hint in get_type_hints(cls).items() if name not in _SHARED}
+
+
 def save_ensemble(model: EnsembleModel, path: str | Path) -> None:
     """Write the ensemble to a versioned JSON file."""
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "labels": [lab.value for lab in model.nb.labels],
         "vocabulary": list(model.vocabulary),
-        "nb": {
-            "log_priors": model.nb.log_priors.tolist(),
-            "log_cond": model.nb.log_cond.tolist(),
-            "smoothing": model.nb.smoothing,
-        },
-        "maxent": {
-            "weights": model.maxent.weights.tolist(),
-            "bias": model.maxent.bias.tolist(),
-            "l2": model.maxent.l2,
-            "converged": model.maxent.converged,
-            "n_iter": model.maxent.n_iter,
-        },
     }
+    for key, cls in _SUBMODELS.items():
+        sub = getattr(model, key)
+        payload[key] = {
+            name: getattr(sub, name).tolist() if hint is np.ndarray else getattr(sub, name)
+            for name, hint in _schema(cls).items()
+        }
     write_text(path, json.dumps(payload, sort_keys=True, indent=1))
+
+
+def _expect_fields(data, names) -> None:
+    if not isinstance(data, dict) or set(data) != set(names):
+        got = sorted(data) if isinstance(data, dict) else type(data).__name__
+        raise ValueError(f"expected the fields {sorted(names)}, got {got}")
 
 
 def load_ensemble(path: str | Path) -> EnsembleModel:
@@ -372,35 +382,28 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
 
     Fails loudly on other format versions, version 1 included: its
     files hold the vocabulary once per sub-model and must be retrained.
+    Anything else that is not such a model raises ValueError naming
+    ``path``.
     """
     try:
         payload = json.loads(Path(path).read_text())
-    except ValueError as exc:
+        version = payload.get("format_version") if isinstance(payload, dict) else None
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported model format version {version!r} "
+                f"(expected {MODEL_FORMAT_VERSION})"
+            )
+        _expect_fields(payload, ["format_version", *_SHARED, *_SUBMODELS])
+        labels = tuple(SentimentLabel(v) for v in payload["labels"])
+        vocabulary = {token: i for i, token in enumerate(payload["vocabulary"])}
+        subs = {}
+        for key, cls in _SUBMODELS.items():
+            schema = _schema(cls)
+            _expect_fields(payload[key], schema)
+            subs[key] = cls(labels=labels, vocabulary=vocabulary, **{
+                name: np.asarray(value, dtype=float) if schema[name] is np.ndarray else value
+                for name, value in payload[key].items()
+            })
+        return EnsembleModel(**subs)
+    except (ValueError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: not a readable model file: {exc}") from None
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format version {version!r} "
-            f"(expected {MODEL_FORMAT_VERSION})"
-        )
-    labels = tuple(SentimentLabel(v) for v in payload["labels"])
-    vocabulary = {token: i for i, token in enumerate(payload["vocabulary"])}
-    nb_data = payload["nb"]
-    nb = NaiveBayesModel(
-        labels=labels,
-        vocabulary=vocabulary,
-        log_priors=np.asarray(nb_data["log_priors"]),
-        log_cond=np.asarray(nb_data["log_cond"]),
-        smoothing=nb_data["smoothing"],
-    )
-    me_data = payload["maxent"]
-    maxent = MaxEntModel(
-        labels=labels,
-        vocabulary=vocabulary,
-        weights=np.asarray(me_data["weights"]),
-        bias=np.asarray(me_data["bias"]),
-        l2=me_data["l2"],
-        converged=me_data["converged"],
-        n_iter=me_data["n_iter"],
-    )
-    return EnsembleModel(nb=nb, maxent=maxent)

@@ -9,10 +9,12 @@ every file is replaced whole. A manifest is fresh while its ``reads``
 (each config key the stage read; a file by its sha256), ``upstream``
 and ``outputs`` (the sha256 of each file consumed and written) match.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
-error, including a config value out of range and a malformed row in the
-coverage table, the contact network, an adjacency list or an
-intermediate file (reported as ``path:line:``).
+Exit codes: 0 success, 1 runtime failure (one ``Error:`` line, such as
+a model file that is not a model), 2 usage or configuration error,
+including a config value out of range and a malformed row in the labels
+file, the coverage table, the contact network, an adjacency list or an
+intermediate file (reported as ``path:line:``). Text inputs are decoded
+as UTF-8 with invalid bytes read as U+FFFD.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def _check_upstream(config: RunConfig, name: str, force: bool) -> dict[str, str]
 
 
 def _load_tweets(config: RunConfig):
-    with open(config.tweets, encoding="utf-8") as fh:
+    with open(config.tweets, encoding="utf-8", errors="replace") as fh:
         tweets, skipped = parse_tweets(fh)
     if skipped:
         click.echo(f"skipped {skipped} malformed tweet line(s)")
@@ -347,7 +349,7 @@ def _stage(
 def train(config: RunConfig) -> list[str]:
     """Train the sentiment ensemble on the labeled tweets."""
     tweets = _load_tweets(config)
-    with open(config.labels, encoding="utf-8") as fh:
+    with open(config.labels, encoding="utf-8", errors="replace") as fh:
         labels = parse_labels(fh)
 
     docs = [
@@ -391,7 +393,7 @@ def classify_cmd(config: RunConfig) -> list[str]:
     """Predict labels for tweets without a manual label."""
     model = classify_mod.load_ensemble(config.out / "ensemble_model.json")
     tweets = _load_tweets(config)
-    with open(config.labels, encoding="utf-8") as fh:
+    with open(config.labels, encoding="utf-8", errors="replace") as fh:
         labels = parse_labels(fh)
 
     unlabeled = [tweet for tweet in tweets if tweet.id not in labels]
@@ -450,9 +452,9 @@ def flownet_cmd(config: RunConfig) -> list[str]:
     """Build the opinionated information-flow network's giant component."""
     tallies = flownet.tally_users(_labeled_tweets(config))
 
-    with open(config.followers, encoding="utf-8") as fh:
+    with open(config.followers, encoding="utf-8", errors="replace") as fh:
         followers = flownet.read_adjacency(fh)
-    with open(config.friends, encoding="utf-8") as fh:
+    with open(config.friends, encoding="utf-8", errors="replace") as fh:
         friends = flownet.read_adjacency(fh)
 
     network = flownet.build_flow_network(tallies, followers, friends)
@@ -473,36 +475,13 @@ def flownet_cmd(config: RunConfig) -> list[str]:
     return [edges_path.name, nodes_path.name]
 
 
-def _node_sign(user: str, n_pos: str, n_neg: str, n_neu: str, sign: str) -> tuple[str, int]:
-    try:
-        return user, {"positive": 1, "negative": -1}[sign]
-    except KeyError:
-        raise ValueError(sign) from None
-
-
-def _read_opinion_network(config: RunConfig):
-    nodes = read_csv(
-        config.out / "opinion_nodes.csv", ["id", "n_pos", "n_neg", "n_neu", "sign"],
-        _node_sign, "id,n_pos,n_neg,n_neu,sign with sign positive or negative",
-    )
-    signs = dict(row for _, row in nodes)
-
-    def edge(source: str, target: str) -> tuple[str, str]:
-        if source not in signs or target not in signs:
-            raise ValueError(source, target)
-        return source, target
-
-    edges = read_csv(
-        config.out / "opinion_edges.csv", ["from", "to"], edge,
-        "from,to with both ends in opinion_nodes.csv",
-    )
-    return signs, [pair for _, pair in edges]
-
-
 @_stage("homophily", upstream="flownet", workers=True)
 def homophily_cmd(config: RunConfig, workers: int) -> list[str]:
     """Assortativity, bootstrap null, in-fractions, and communities."""
-    signs, edges = _read_opinion_network(config)
+    network = flownet.read_network(
+        config.out / "opinion_nodes.csv", config.out / "opinion_edges.csv"
+    )
+    signs, edges = network.signs, network.edges
     observed = homophily.assortativity(signs, edges)
     null = homophily.bootstrap_null(
         signs, edges, config.bootstrap_iterations,

@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import IO, Callable, Hashable, Iterable
 
+from . import InputError
 from .stemming import stem
 
 logger = logging.getLogger(__name__)
@@ -98,8 +99,6 @@ def parse_tweets(stream: IO | Iterable[str]) -> tuple[list[Tweet], int]:
     seen_ids: set[str] = set()
     skipped = 0
     for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
         line = raw.strip()
         if not line:
             continue
@@ -162,25 +161,22 @@ def _parse_timestamp(value: str) -> datetime:
 def parse_labels(stream: IO | Iterable[str]) -> dict[str, SentimentLabel]:
     """Parse a two-column (tweet_id, label) CSV into a mapping.
 
-    A leading ``tweet_id,label`` header line is tolerated. Lines with an
-    unknown label or wrong column count are skipped with a warning.
+    A leading ``tweet_id,label`` header line is tolerated. A line with an
+    unknown label or a wrong column count raises InputError ``name:line:``.
     """
     labels: dict[str, SentimentLabel] = {}
     for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
         line = raw.strip()
         if not line or (lineno == 1 and line.lower() == "tweet_id,label"):
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            logger.warning("label line %d: expected 2 columns, skipped", lineno)
-            continue
-        tweet_id, label_text = parts[0].strip(), parts[1].strip().lower()
         try:
-            labels[tweet_id] = SentimentLabel(label_text)
+            tweet_id, label_text = line.split(",")
+            labels[tweet_id.strip()] = SentimentLabel(label_text.strip().lower())
         except ValueError:
-            logger.warning("label line %d: unknown label %r, skipped", lineno, label_text)
+            name = getattr(stream, "name", "<labels>")
+            raise InputError(
+                f"{name}:{lineno}: expected tweet_id,label with a known label, got {line!r}"
+            ) from None
     return labels
 
 

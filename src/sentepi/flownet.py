@@ -3,7 +3,9 @@
 Edges point in the direction information travels: A -> B means B
 receives what A posts, established either because B appears among A's
 followers or A appears among B's friends. The network is a static
-snapshot; there are no temporal edge semantics.
+snapshot; there are no temporal edge semantics. The opinionated giant
+component is stored as two CSVs, ``opinion_nodes.csv`` and
+``opinion_edges.csv``; this module writes and reads both.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from . import InputError, write_csv
+from . import InputError, read_csv, write_csv
 from .corpus import SentimentLabel, Tally, Tweet, tally_by
-from .stats import largest_component
+from .stats import index_edges, largest_component
 
 __all__ = [
     "FlowNetwork",
-    "OpinionatedNetwork",
     "tally_users",
     "build_flow_network",
     "opinionated",
@@ -28,7 +29,13 @@ __all__ = [
     "read_adjacency",
     "write_edges_csv",
     "write_nodes_csv",
+    "read_network",
 ]
+
+_NODE_HEADER = ["id", "n_pos", "n_neg", "n_neu", "sign"]
+_EDGE_HEADER = ["from", "to"]
+_SIGN_TEXT = {1: "positive", -1: "negative", 0: "none"}
+
 
 @dataclass(frozen=True)
 class FlowNetwork:
@@ -45,21 +52,11 @@ class FlowNetwork:
     def nodes(self) -> set[str]:
         return set(self.tallies)
 
-
-@dataclass(frozen=True)
-class OpinionatedNetwork:
-    """Restriction of a FlowNetwork to users with a nonzero score.
-
-    ``signs`` maps user id to +1 (predominantly positive) or -1.
-    """
-
-    tallies: dict[str, Tally]
-    signs: dict[str, int]
-    edges: tuple[tuple[str, str], ...]
-
     @property
-    def nodes(self) -> set[str]:
-        return set(self.signs)
+    def signs(self) -> dict[str, int]:
+        """User id -> +1 (more positive than negative tweets), -1 (the
+        reverse) or 0 (a tie)."""
+        return {user: _sign(tally) for user, tally in self.tallies.items()}
 
 
 def tally_users(
@@ -111,45 +108,30 @@ def _sign(tally: Tally) -> int:
     return 0
 
 
-def opinionated(network: FlowNetwork) -> OpinionatedNetwork:
-    """Keep users whose sentiment score is nonzero, with induced edges."""
-    signs = {
-        user: _sign(tally)
-        for user, tally in network.tallies.items()
-        if _sign(tally) != 0
-    }
-    edges = tuple(e for e in network.edges if e[0] in signs and e[1] in signs)
-    return OpinionatedNetwork(
-        tallies={user: network.tallies[user] for user in signs},
-        signs=signs,
-        edges=edges,
+def _induced(network: FlowNetwork, keep: set[str]) -> FlowNetwork:
+    """The subgraph on the users in ``keep`` and the edges between them."""
+    return FlowNetwork(
+        tallies={user: tally for user, tally in network.tallies.items() if user in keep},
+        edges=tuple(e for e in network.edges if e[0] in keep and e[1] in keep),
     )
 
 
-def giant_component(network):
+def opinionated(network: FlowNetwork) -> FlowNetwork:
+    """Keep users whose sentiment score is nonzero, with induced edges."""
+    return _induced(network, {user for user, sign in network.signs.items() if sign})
+
+
+def giant_component(network: FlowNetwork) -> FlowNetwork:
     """Induced subgraph on the largest weakly connected component.
 
     Ties between equal-size components go to the one containing the
-    smallest node id. Works on FlowNetwork and OpinionatedNetwork alike;
-    the input type is preserved. Raises ValueError on an empty network.
+    smallest node id. Raises ValueError on an empty network.
     """
-    ids = sorted(network.nodes)
+    ids, u, v = index_edges(network.tallies, network.edges)
     if not ids:
         raise ValueError("empty network")
-    index = {node: i for i, node in enumerate(ids)}
-    u = np.array([index[a] for a, _ in network.edges], dtype=np.int64)
-    v = np.array([index[b] for _, b in network.edges], dtype=np.int64)
-    best = {ids[i] for i in np.flatnonzero(largest_component(len(ids), u, v))}
-
-    edges = tuple(e for e in network.edges if e[0] in best and e[1] in best)
-    tallies = {user: network.tallies[user] for user in best}
-    if isinstance(network, OpinionatedNetwork):
-        return OpinionatedNetwork(
-            tallies=tallies,
-            signs={user: network.signs[user] for user in best},
-            edges=edges,
-        )
-    return FlowNetwork(tallies=tallies, edges=edges)
+    giant = np.flatnonzero(largest_component(len(ids), u, v))
+    return _induced(network, {ids[i] for i in giant})
 
 
 def read_adjacency(stream: IO | Iterable[str]) -> dict[str, set[str]]:
@@ -157,8 +139,6 @@ def read_adjacency(stream: IO | Iterable[str]) -> dict[str, set[str]]:
     non-blank line without ``:`` raises InputError ``name:line:``."""
     out: dict[str, set[str]] = {}
     for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
         line = raw.strip()
         if not line:
             continue
@@ -171,13 +151,42 @@ def read_adjacency(stream: IO | Iterable[str]) -> dict[str, set[str]]:
     return out
 
 
-def write_edges_csv(path: str | Path, network) -> None:
-    write_csv(path, ["from", "to"], network.edges)
+def write_edges_csv(path: str | Path, network: FlowNetwork) -> None:
+    write_csv(path, _EDGE_HEADER, network.edges)
 
 
-def write_nodes_csv(path: str | Path, network) -> None:
-    sign_text = {1: "positive", -1: "negative", 0: "none"}
-    write_csv(path, ["id", "n_pos", "n_neg", "n_neu", "sign"], (
-        [user, *tally, sign_text[_sign(tally)]]
+def write_nodes_csv(path: str | Path, network: FlowNetwork) -> None:
+    write_csv(path, _NODE_HEADER, (
+        [user, *tally, _SIGN_TEXT[_sign(tally)]]
         for user, tally in sorted(network.tallies.items())
     ))
+
+
+def read_network(nodes_path: str | Path, edges_path: str | Path) -> FlowNetwork:
+    """Read an opinionated network back from the two files the writers
+    produce. A node row needs non-negative integer counts and the sign
+    they give, which must be positive or negative; an edge needs both
+    ends among the nodes. A bad row raises InputError ``path:line:``."""
+
+    def node(user: str, *fields: str) -> tuple[str, Tally]:
+        *counts, sign = fields
+        tally = tuple(int(count) for count in counts)
+        if min(tally) < 0 or sign == "none" or _SIGN_TEXT[_sign(tally)] != sign:
+            raise ValueError(sign)
+        return user, tally
+
+    tallies = dict(row for _, row in read_csv(
+        nodes_path, _NODE_HEADER, node,
+        "id,n_pos,n_neg,n_neu,sign with non-negative integer counts and the sign"
+        " they give, positive or negative",
+    ))
+
+    def edge(source: str, target: str) -> tuple[str, str]:
+        if source not in tallies or target not in tallies:
+            raise ValueError(source, target)
+        return source, target
+
+    edges = read_csv(
+        edges_path, _EDGE_HEADER, edge, f"from,to with both ends in {Path(nodes_path).name}"
+    )
+    return FlowNetwork(tallies=tallies, edges=tuple(pair for _, pair in edges))

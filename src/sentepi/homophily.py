@@ -14,7 +14,9 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import write_csv
-from .stats import RandomStream, fisher_exact_2x2, map_chunks, wilcoxon_signed_rank_paired
+from .stats import (
+    RandomStream, fisher_exact_2x2, index_edges, map_chunks, wilcoxon_signed_rank_paired
+)
 
 __all__ = [
     "AssortativityResult",
@@ -47,20 +49,12 @@ def _code_edges(
     labels: Mapping[Hashable, Hashable],
     edges: Sequence[tuple[Hashable, Hashable]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Map nodes to indices and edges to (src, dst) index arrays."""
-    node_list = sorted(labels)
-    index = {node: i for i, node in enumerate(node_list)}
+    """Type codes of the sorted nodes, edges as (src, dst) index arrays,
+    and the sorted types."""
+    node_list, src, dst = index_edges(labels, edges)
     types = sorted({labels[n] for n in node_list}, key=repr)
     type_index = {t: i for i, t in enumerate(types)}
     codes = np.array([type_index[labels[n]] for n in node_list], dtype=np.int64)
-    try:
-        src = np.array([index[a] for a, _ in edges], dtype=np.int64)
-        dst = np.array([index[b] for _, b in edges], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"edge endpoint {exc} has no label") from None
-    if src.size == 0:
-        src = src.reshape(0)
-        dst = dst.reshape(0)
     return codes, src, dst, types
 
 
@@ -255,15 +249,10 @@ def in_fraction_test(
 def _undirected_projection(
     nodes: Iterable[Hashable], edges: Sequence[tuple[Hashable, Hashable]]
 ) -> tuple[list, list[tuple[int, int]]]:
-    node_list = sorted(nodes)
-    index = {node: i for i, node in enumerate(node_list)}
-    seen = set()
-    for a, b in edges:
-        i, j = index[a], index[b]
-        if i == j:
-            continue
-        seen.add((min(i, j), max(i, j)))
-    return node_list, sorted(seen)
+    node_list, src, dst = index_edges(nodes, edges)
+    low, high = np.minimum(src, dst), np.maximum(src, dst)
+    keep = low != high
+    return node_list, sorted(set(zip(low[keep].tolist(), high[keep].tolist())))
 
 
 def detect_communities(
@@ -387,7 +376,6 @@ def modularity(
     m = len(simple_edges)
     if m == 0:
         return 0.0
-    index = {node: i for i, node in enumerate(node_list)}
     comm = [partition[node] for node in node_list]
     intra: dict[int, int] = {}
     deg: dict[int, int] = {}

@@ -1,11 +1,11 @@
 """Shared statistical primitives.
 
 Weighted Pearson correlation, Fisher's exact test for 2x2 tables, the
-paired Wilcoxon signed-rank test, the largest connected component of a
-graph, reproducible splittable random streams, and the process pool
-that parallel callers share. Everything here is a pure function of its
-inputs; streams are addressed by (master seed, path) so parallel workers
-never share state.
+paired Wilcoxon signed-rank test, the node index of an edge list, the
+largest connected component of a graph, reproducible splittable random
+streams, and the process pool that parallel callers share. Everything
+here is a pure function of its inputs; streams are addressed by (master
+seed, path) so parallel workers never share state.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -22,6 +22,7 @@ __all__ = [
     "RandomStream",
     "derive_stream",
     "as_stream",
+    "index_edges",
     "largest_component",
     "map_chunks",
     "weighted_pearson",
@@ -91,6 +92,21 @@ def map_chunks(
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+def index_edges(
+    nodes: Iterable[Hashable], edges: Sequence[tuple[Hashable, Hashable]]
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Sorted ``nodes`` and, as int64 arrays, each edge's (src, dst)
+    positions in that list; an endpoint outside ``nodes`` raises ValueError."""
+    node_list = sorted(nodes)
+    index = {node: i for i, node in enumerate(node_list)}
+    try:
+        src = np.array([index[a] for a, _ in edges], dtype=np.int64)
+        dst = np.array([index[b] for _, b in edges], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"edge endpoint {exc} is not a node") from None
+    return node_list, src, dst
 
 
 def largest_component(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -269,17 +285,9 @@ def _wilcoxon_normal_tail(abs_d: np.ndarray, w_plus: float, n: int) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1 with average ranks for ties."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # the rank of each distinct value's last copy
+    return (ends - (counts - 1) / 2)[inverse]
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import product
 
 import numpy as np
@@ -256,6 +257,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             load_ensemble(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: [],
+            lambda payload: {"format_version": 2},
+            lambda payload: {**payload, "extra": 1},
+            lambda payload: {**payload, "nb": {**payload["nb"], "extra": 1}},
+            lambda payload: {**payload, "maxent": {
+                k: v for k, v in payload["maxent"].items() if k != "bias"}},
+            lambda payload: {**payload, "nb": [1]},
+            lambda payload: {**payload, "labels": "positive"},
+        ],
+        ids=["list", "version-only", "unknown-field", "unknown-nb-field",
+             "missing-maxent-field", "nb-not-object", "labels-not-a-list"],
+    )
+    def test_non_model_payload_rejected_naming_the_file(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_ensemble(self._model(), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a readable model"):
+            load_ensemble(path)
 
     def test_single_vocabulary_and_version_1_rejected(self, tmp_path):
         path = tmp_path / "model.json"

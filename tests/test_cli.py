@@ -297,6 +297,47 @@ class TestErrorHandling:
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and "ensemble_model.json" in errors[0]
 
+    @pytest.mark.parametrize("payload", ["[]", '{"format_version": 2}'])
+    def test_non_model_payload_is_runtime_failure_naming_the_file(self, run_copy, payload):
+        model = run_copy.out / "ensemble_model.json"
+        model.write_text(payload)
+        result = run_copy("classify", "--force")
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [line for line in result.output.splitlines() if line.strip()][-1:]
+        assert errors[0].startswith(f"Error: {model}: not a readable model file")
+
+    def _small_run(self, tmp_path, seed):
+        data = write_pipeline_fixture(tmp_path / "d", seed=seed, n_users=20, n_tweets=80)
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"seed = 1\nout = {tmp_path / 'o'}\ntweets = {data['tweets']}\n"
+            f"labels = {data['labels']}\ntest_split = 0\nmaxent_max_iter = 60\n"
+        )
+        return data, config
+
+    def test_invalid_utf8_in_a_tweet_still_trains(self, tmp_path):
+        data, config = self._small_run(tmp_path, seed=6)
+        raw = data["tweets"].read_bytes()
+        assert raw.count(b'"text": "') == 80
+        data["tweets"].write_bytes(raw.replace(b'"text": "', b'"text": "\xff', 1))
+        result = _run(["train", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert "skipped" not in result.output
+
+    @pytest.mark.parametrize(
+        "row", ["t999999,great", "t999999", "t999999,positive,x"],
+        ids=["unknown-label", "one-column", "three-columns"],
+    )
+    def test_bad_label_row_is_usage_error_with_location(self, tmp_path, row):
+        data, config = self._small_run(tmp_path, seed=6)
+        line = len(data["labels"].read_text().splitlines()) + 1
+        with open(data["labels"], "a") as fh:
+            fh.write(row + "\n")
+        result = _run(["train", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"{data['labels']}:{line}: expected tweet_id,label" in result.output
+
     @pytest.mark.parametrize(
         "setting",
         [
@@ -424,10 +465,13 @@ class TestStageProtocol:
         [
             ("opinion_nodes.csv", "u9999,1", "homophily"),
             ("opinion_nodes.csv", "u9999,1,0,0,none", "homophily"),
+            ("opinion_nodes.csv", "u9999,x,0,0,positive", "homophily"),
+            ("opinion_nodes.csv", "u9999,1,0,0,negative", "homophily"),
             ("predictions.csv", "t9999,bogus,manual", "timeseries"),
             ("opinion_edges.csv", "u0001,zzz", "homophily"),
         ],
-        ids=["nodes-short-row", "nodes-bad-sign", "predictions-unknown-label",
+        ids=["nodes-short-row", "nodes-bad-sign", "nodes-non-integer-count",
+             "nodes-sign-disagrees-with-counts", "predictions-unknown-label",
              "edges-unknown-endpoint"],
     )
     def test_malformed_intermediate_row_is_usage_error_with_location(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentepi import InputError
 from sentepi.corpus import (
     STOP_WORDS,
     SentimentLabel,
@@ -111,12 +112,6 @@ class TestParseTweets:
         assert tweets == []
         assert skipped == 2
 
-    def test_byte_stream_accepted(self):
-        stream = io.BytesIO(_tweet_line().encode("utf-8"))
-        tweets, skipped = parse_tweets(stream)
-        assert len(tweets) == 1
-        assert skipped == 0
-
     def test_region_optional_and_offset_timestamps_normalized(self):
         record = json.loads(_tweet_line())
         del record["region"]
@@ -136,10 +131,20 @@ class TestParseLabels:
             "t2": SentimentLabel.IRRELEVANT,
         }
 
-    def test_unknown_label_skipped(self):
-        assert parse_labels(io.StringIO("t1,great\nt2,negative\n")) == {
-            "t2": SentimentLabel.NEGATIVE
-        }
+    @staticmethod
+    def _reject(tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(InputError, match=r"labels\.csv:3: expected tweet_id,label"):
+                parse_labels(fh)
+
+    def test_unknown_label_rejected(self, tmp_path):
+        self._reject(tmp_path, "tweet_id,label\nt1,negative\nt2,great\n")
+
+    @pytest.mark.parametrize("row", ["t2", "t2,positive,x"], ids=["one-column", "three-columns"])
+    def test_wrong_column_count_rejected(self, tmp_path, row):
+        self._reject(tmp_path, f"tweet_id,label\nt1,negative\n{row}\n")
 
 
 def test_active_stop_list_has_31_words():

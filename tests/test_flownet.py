@@ -8,11 +8,13 @@ from sentepi import InputError
 
 from sentepi.flownet import (
     FlowNetwork,
-    OpinionatedNetwork,
     build_flow_network,
     giant_component,
     opinionated,
     read_adjacency,
+    read_network,
+    write_edges_csv,
+    write_nodes_csv,
 )
 
 
@@ -76,6 +78,7 @@ class TestOpinionated:
     def test_sign_assignment(self):
         tallies = {"A": (2, 1, 5), "B": (0, 0, 9), "C": (3, 3, 0), "D": (0, 2, 1)}
         net = FlowNetwork(tallies=tallies, edges=(("A", "B"), ("A", "D")))
+        assert net.signs == {"A": 1, "B": 0, "C": 0, "D": -1}
         op = opinionated(net)
         assert op.signs == {"A": 1, "D": -1}
         assert op.edges == (("A", "D"),)
@@ -127,14 +130,14 @@ class TestGiantComponent:
             giant_component(FlowNetwork(tallies={}, edges=()))
 
     def test_preserves_opinionated_type(self):
-        op = OpinionatedNetwork(
-            tallies={"A": (1, 0, 0), "B": (0, 1, 0)},
-            signs={"A": 1, "B": -1},
-            edges=(("A", "B"),),
+        net = FlowNetwork(
+            tallies={"A": (1, 0, 0), "B": (0, 1, 0), "C": (1, 1, 0), "D": (2, 0, 0)},
+            edges=(("A", "B"), ("B", "C"), ("C", "D")),
         )
+        op = opinionated(net)
         giant = giant_component(op)
-        assert isinstance(giant, OpinionatedNetwork)
-        assert giant.signs == op.signs
+        assert giant.signs == {"A": 1, "B": -1}
+        assert giant.signs == {user: op.signs[user] for user in giant.nodes}
 
 
 class TestReadAdjacency:
@@ -153,3 +156,30 @@ class TestReadAdjacency:
         with open(path, encoding="utf-8") as fh:
             with pytest.raises(InputError, match=r"followers\.txt:3: expected user_id: ids"):
                 read_adjacency(fh)
+
+
+class TestReadNetwork:
+    def _write(self, tmp_path):
+        net = FlowNetwork(
+            tallies={"A": (2, 1, 5), "B": (0, 3, 0), "C": (1, 0, 0)},
+            edges=(("A", "B"), ("C", "A")),
+        )
+        nodes, edges = tmp_path / "opinion_nodes.csv", tmp_path / "opinion_edges.csv"
+        write_nodes_csv(nodes, net)
+        write_edges_csv(edges, net)
+        return net, nodes, edges
+
+    def test_round_trip(self, tmp_path):
+        net, nodes, edges = self._write(tmp_path)
+        assert read_network(nodes, edges) == net
+
+    @pytest.mark.parametrize(
+        "row", ["D,x,0,0,positive", "D,1,0,0,negative", "D,1,1,0,none", "D,0,0,1,none",
+                "D,-1,-2,0,positive", "D,1,0,0,yes", "D,1,0,0"],
+    )
+    def test_bad_node_row_is_rejected_with_its_line(self, tmp_path, row):
+        _, nodes, edges = self._write(tmp_path)
+        with open(nodes, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(InputError, match=r"opinion_nodes\.csv:5: expected id,n_pos"):
+            read_network(nodes, edges)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from sentepi.stats import (
     RandomStream,
+    _average_ranks,
     derive_stream,
     fisher_exact_2x2,
+    index_edges,
     largest_component,
     weighted_pearson,
     wilcoxon_signed_rank_paired,
@@ -220,6 +222,15 @@ class TestWilcoxon:
         assert ours == pytest.approx(ref, rel=1e-9)
 
 
+class TestAverageRanks:
+    @given(st.lists(st.integers(0, 6), max_size=40))
+    @settings(max_examples=200)
+    def test_matches_scipy_rankdata(self, values):
+        values = np.array(values, dtype=float) / 2
+        expected = scipy.stats.rankdata(values, method="average")
+        assert _average_ranks(values).tobytes() == expected.astype(float).tobytes()
+
+
 class TestRandomStreams:
     def test_same_path_reproduces(self):
         a = derive_stream(42, 1, 2).generator().random(1000)
@@ -253,6 +264,22 @@ class TestLargestComponent:
     def test_strictly_larger_component_wins(self):
         keep = largest_component(6, np.array([0, 3, 4]), np.array([1, 4, 5]))
         assert np.flatnonzero(keep).tolist() == [3, 4, 5]
+
+
+class TestIndexEdges:
+    def test_positions_in_the_sorted_nodes(self):
+        nodes, src, dst = index_edges({"b", "a", "c"}, [("c", "a"), ("a", "b")])
+        assert nodes == ["a", "b", "c"]
+        assert src.tolist() == [2, 0] and dst.tolist() == [0, 1]
+        assert src.dtype == dst.dtype == np.int64
+
+    def test_no_edges_gives_empty_arrays(self):
+        _, src, dst = index_edges(["a"], [])
+        assert src.shape == dst.shape == (0,)
+
+    def test_endpoint_outside_the_nodes_rejected(self):
+        with pytest.raises(ValueError, match="'z' is not a node"):
+            index_edges(["a"], [("a", "z")])
 
 
 class TestWilsonInterval:
