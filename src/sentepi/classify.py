@@ -77,11 +77,13 @@ class _LinearClassifier:
 
     Subclasses hold W column-major so that ``W.T`` is C-contiguous: the
     sparse product would otherwise copy W on every call, which dominates
-    scoring a single document.
+    scoring a single document. ``_COEFFICIENTS`` names their W (K, V)
+    and b (K,) fields.
     """
 
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        w, b = self._COEFFICIENTS
+        return getattr(self, w), getattr(self, b)
 
     def _scores(self, X: sparse.csr_matrix) -> np.ndarray:
         W, b = self._coefficients()
@@ -101,6 +103,8 @@ class _LinearClassifier:
 class NaiveBayesModel(_LinearClassifier):
     """Multinomial Naive Bayes with add-constant smoothing."""
 
+    _COEFFICIENTS = ("log_cond", "log_priors")
+
     labels: tuple[SentimentLabel, ...]
     vocabulary: dict[str, int]  # token -> feature column, in column order
     log_priors: np.ndarray  # (K,)
@@ -117,13 +121,12 @@ class NaiveBayesModel(_LinearClassifier):
             if np.any(np.abs(cond_sums - 1.0) > 1e-9):
                 raise ValueError("conditional distributions do not sum to 1")
 
-    def _coefficients(self):
-        return self.log_cond, self.log_priors
-
 
 @dataclass
 class MaxEntModel(_LinearClassifier):
     """Multinomial logistic regression over token counts."""
+
+    _COEFFICIENTS = ("weights", "bias")
 
     labels: tuple[SentimentLabel, ...]
     vocabulary: dict[str, int]  # token -> feature column, in column order
@@ -137,9 +140,6 @@ class MaxEntModel(_LinearClassifier):
         self.weights = np.asfortranarray(self.weights)
         if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.bias)):
             raise ValueError("non-finite model parameters")
-
-    def _coefficients(self):
-        return self.weights, self.bias
 
     def predict_proba(self, tv: TokenVector) -> np.ndarray:
         s = self._scores(featurize([tv], self.vocabulary))[0]
@@ -396,14 +396,21 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
         _expect_fields(payload, ["format_version", *_SHARED, *_SUBMODELS])
         labels = tuple(SentimentLabel(v) for v in payload["labels"])
         vocabulary = {token: i for i, token in enumerate(payload["vocabulary"])}
+        shapes = [(len(labels), len(vocabulary)), (len(labels),)]
         subs = {}
         for key, cls in _SUBMODELS.items():
             schema = _schema(cls)
             _expect_fields(payload[key], schema)
-            subs[key] = cls(labels=labels, vocabulary=vocabulary, **{
+            values = {
                 name: np.asarray(value, dtype=float) if schema[name] is np.ndarray else value
                 for name, value in payload[key].items()
-            })
+            }
+            for name, shape in zip(cls._COEFFICIENTS, shapes):
+                if values[name].shape != shape:
+                    raise ValueError(
+                        f"{key}.{name} has shape {values[name].shape}, expected {shape}"
+                    )
+            subs[key] = cls(labels=labels, vocabulary=vocabulary, **values)
         return EnsembleModel(**subs)
     except (ValueError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: not a readable model file: {exc}") from None

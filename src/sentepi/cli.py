@@ -147,7 +147,8 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
     if path is not None:
         if not path.exists():
             raise click.UsageError(f"config file not found: {path}")
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -11,7 +11,8 @@ morning otherwise); afterwards it stays home until recovery. Vaccinated
 individuals start in the recovered class. The vaccination
 redistribution hill-climb raises the vaccinated/unvaccinated
 assortativity to a target while holding coverage fixed, updating the
-coefficient incrementally from integer edge counts.
+coefficient incrementally from integer edge counts. R0 runs stop as
+soon as the index case's secondary count is final.
 """
 
 from __future__ import annotations
@@ -259,12 +260,21 @@ def run_seir(
     params: SEIRParams | None = None,
     stream: RandomStream | int = 0,
     record_trace: bool = False,
+    *,
+    _index_only: bool = False,
 ) -> SimResult:
     """Simulate one outbreak from a random susceptible index case.
 
     The index case is exposed at the start of a Monday day-step. The run
     ends when no exposed or infectious individuals remain; the returned
     trace (if requested) holds (S, E, I, R) counts after each step.
+
+    ``_index_only`` (for :func:`estimate_r0`) also ends the run once the
+    index case is neither exposed nor waiting for its school window, so
+    ``secondary_from_index`` is final. Until that window the index is the
+    only infected node, so every draw deciding the count is made as in a
+    full run. The result is truncated: ``ever_infected``,
+    ``duration_steps``, ``attack_rate`` and the trace stop there.
     """
     if params is None:
         params = SEIRParams()
@@ -351,6 +361,10 @@ def run_seir(
             )
         if not np.any(state == _E) and not np.any(state == _I):
             break
+        if _index_only and state[index] != _E and not (
+            state[index] == _I and window_pending[index]
+        ):
+            break
 
     return SimResult(
         ever_infected=ever_infected,
@@ -377,14 +391,19 @@ def estimate_r0(
     runs: int = 1000,
     stream: RandomStream | int = 0,
 ) -> R0Estimate:
-    """Estimate the basic reproduction number on the unvaccinated network."""
+    """Estimate the basic reproduction number on the unvaccinated network.
+
+    Run i draws from ``stream.child(i)`` and stops once its index case's
+    secondary count is final (see :func:`run_seir`), which leaves the
+    estimate equal to that of full runs.
+    """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     stream = as_stream(stream)
     vac = VaccinationAssignment(np.zeros(net.n, dtype=bool))
     secondary = []
     for i in range(runs):
-        result = run_seir(net, vac, params, stream.child(i))
+        result = run_seir(net, vac, params, stream.child(i), _index_only=True)
         if result.secondary_from_index >= 1:
             secondary.append(result.secondary_from_index)
     if not secondary:

@@ -72,8 +72,8 @@ def _assortativity_from_codes(
     b = e.sum(axis=0)
     trace = float(np.trace(e))
     sab = float((a * b).sum())
-    present = np.unique(np.concatenate([edge_src_types, edge_dst_types]))
-    if present.size == 1:
+    # a type appears among the endpoints iff its row or column is nonzero
+    if np.count_nonzero(counts.sum(axis=0) + counts.sum(axis=1)) == 1:
         return AssortativityResult(r=1.0, degenerate=True)
     return AssortativityResult(r=(trace - sab) / (1.0 - sab))
 

@@ -279,6 +279,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a readable model"):
             load_ensemble(path)
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda p: p["maxent"].update(weights=[row[:-1] for row in p["maxent"]["weights"]]),
+             "maxent.weights"),
+            (lambda p: p["maxent"].update(bias=[p["maxent"]["bias"]]), "maxent.bias"),
+            (lambda p: p["nb"].update(log_cond=p["nb"]["log_cond"][:-1]), "nb.log_cond"),
+            (lambda p: p["nb"]["log_priors"].append(0.0), "nb.log_priors"),
+            (lambda p: p["vocabulary"].append("zzz"), "nb.log_cond"),
+        ],
+        ids=["weights-column-cut", "bias-2d", "log-cond-row-cut", "extra-prior", "extra-token"],
+    )
+    def test_array_shape_mismatch_rejected_naming_the_field(self, tmp_path, edit, field):
+        path = tmp_path / "model.json"
+        save_ensemble(self._model(), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        prefix = f"{path}: not a readable model file: {field} has shape "
+        with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
+            load_ensemble(path)
+
     def test_single_vocabulary_and_version_1_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         save_ensemble(self._model(), path)

@@ -307,6 +307,20 @@ class TestErrorHandling:
         assert errors == [line for line in result.output.splitlines() if line.strip()][-1:]
         assert errors[0].startswith(f"Error: {model}: not a readable model file")
 
+    def test_model_array_of_the_wrong_shape_names_file_and_field(self, run_copy):
+        model = run_copy.out / "ensemble_model.json"
+        payload = json.loads(model.read_text())
+        k, v = len(payload["labels"]), len(payload["vocabulary"])
+        payload["maxent"]["weights"] = [row[:-1] for row in payload["maxent"]["weights"]]
+        model.write_text(json.dumps(payload))
+        result = run_copy("classify", "--force")
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [
+            f"Error: {model}: not a readable model file: "
+            f"maxent.weights has shape ({k}, {v - 1}), expected ({k}, {v})"
+        ]
+
     def _small_run(self, tmp_path, seed):
         data = write_pipeline_fixture(tmp_path / "d", seed=seed, n_users=20, n_tweets=80)
         config = tmp_path / "c.conf"
@@ -324,6 +338,17 @@ class TestErrorHandling:
         result = _run(["train", "--config", str(config)])
         assert result.exit_code == 0, result.output
         assert "skipped" not in result.output
+
+    def test_invalid_utf8_in_the_config_is_replaced_not_a_traceback(self, tmp_path):
+        _, config = self._small_run(tmp_path, seed=6)
+        # in a comment the byte changes nothing...
+        config.write_bytes(config.read_bytes() + b"# caf\xff\n")
+        assert _run(["train", "--config", str(config)]).exit_code == 0
+        # ...in a value it is a bad value, named like any other
+        config.write_bytes(config.read_bytes() + b"coverage = 0.5\xff\n")
+        result = _run(["train", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "bad value for coverage" in result.output
 
     @pytest.mark.parametrize(
         "row", ["t999999,great", "t999999", "t999999,positive,x"],

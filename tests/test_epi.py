@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import integrate
 
 from sentepi.epi import (
     ContactNetwork,
+    R0Estimate,
     SEIRParams,
     StallError,
     UndefinedEstimateError,
@@ -215,6 +217,106 @@ class TestEstimateR0:
     def test_bundled_network_in_calibrated_band(self):
         est = estimate_r0(default_contact_network(), runs=500, stream=derive_stream(10))
         assert 1.7 <= est.value <= 2.4
+
+    def test_bundled_network_matches_the_exact_values(self):
+        exact = _exact_r0(default_contact_network(), SEIRParams())
+        assert exact.r0 == pytest.approx(2.2491, abs=1e-4)
+        assert exact.p_secondary == pytest.approx(0.8325, abs=1e-4)
+        # 10,000 runs resolve a shift of 0.02 in P(>= 1 secondary), for
+        # example one more recovery draw before the window
+        runs = 10_000
+        est = estimate_r0(default_contact_network(), runs=runs, stream=derive_stream(10))
+        # 3.3 standard errors: a two-sided 99.9% CLT / binomial interval
+        p_se = math.sqrt(exact.p_secondary * (1 - exact.p_secondary) / runs)
+        assert abs(est.runs_with_secondary / runs - exact.p_secondary) < 3.3 * p_se
+        r0_se = math.sqrt(exact.r0_variance / (runs * exact.p_secondary))
+        assert abs(est.value - exact.r0) < 3.3 * r0_se
+
+    @pytest.mark.parametrize("network", ["default", "small"])
+    def test_early_stop_leaves_every_secondary_count_unchanged(self, network):
+        if network == "default":
+            net, runs = default_contact_network(), 20
+        else:
+            net = generate_synthetic_contact_network(
+                60, 3, 0.2, 0.03, (90, 200), derive_stream(12)
+            )
+            runs = 100
+        vac = _no_vaccine(net.n)
+        for seed in (1, 2, 3):
+            stream = derive_stream(seed)
+            secondary = []
+            for i in range(runs):
+                full = run_seir(net, vac, None, stream.child(i))
+                cut = run_seir(net, vac, None, stream.child(i), _index_only=True)
+                assert (cut.index_node, cut.secondary_from_index) == (
+                    full.index_node, full.secondary_from_index
+                )
+                assert cut.duration_steps <= full.duration_steps
+                if full.secondary_from_index >= 1:
+                    secondary.append(full.secondary_from_index)
+            expected = R0Estimate(
+                value=sum(secondary) / len(secondary),
+                runs_with_secondary=len(secondary),
+                total_runs=runs,
+            )
+            assert estimate_r0(net, runs=runs, stream=stream) == expected
+
+    def test_full_run_and_estimate_keep_their_values(self):
+        # pinned values: a full run and an early-stopped estimate must keep them
+        net = default_contact_network()
+        result = run_seir(net, _no_vaccine(net.n), stream=derive_stream(4))
+        assert (result.index_node, result.secondary_from_index) == (975, 1)
+        assert (result.duration_steps, result.attack_rate) == (92, 0.598)
+        est = estimate_r0(net, runs=300, stream=derive_stream(11))
+        assert est == R0Estimate(2.3214285714285716, 252, 300)
+
+
+class _ExactR0(NamedTuple):
+    r0: float
+    p_secondary: float
+    r0_variance: float
+
+
+def _exact_r0(net, params):
+    """Exact R0 from a uniformly chosen index case on an unvaccinated network.
+
+    The index case is the only infected node until its single school
+    window, where each neighbour is infected independently with
+    p = 1 - (1 - beta)^(0.25 w). Conditional on a window, the count X is
+    a sum of Bernoullis for each index node i, so R0 = E[X | X >= 1] is
+    mean_i sum(p) / mean_i (1 - prod(1 - p)); P(window) cancels out.
+    """
+    p = 1.0 - (1.0 - params.transmission_rate) ** (
+        params.symptomatic_contact_factor * net.nbr_w
+    )
+    head = np.repeat(np.arange(net.n), net.degrees)
+    mean = np.bincount(head, weights=p, minlength=net.n)
+    var = np.bincount(head, weights=p * (1 - p), minlength=net.n)
+    none = np.exp(np.bincount(head, weights=np.log1p(-p), minlength=net.n))
+    any_given_window = float((1 - none).mean())
+    r0 = float(mean.mean()) / any_given_window
+    second_moment = float((var + mean**2).mean()) / any_given_window
+
+    # The index turns infectious after s incubation steps (a Weibull in
+    # days plus the offset, rounded to half days, floor 1) and must then
+    # survive recovery at t = 1..g infectious steps, g being the gap to the
+    # next weekday day-step, where it transmits before recovery is drawn.
+    # Steps alternate day and night from Monday: 0, 2, 4, 6, 8 of each 14.
+    def cdf(k):  # P(incubation <= k steps)
+        x = max(0.0, ((k + 0.5) / 2 - params.incubation_offset_days)
+                / params.incubation_scale_days)
+        return 1.0 - math.exp(-(x**params.incubation_shape))
+
+    p_window = 0.0
+    for s in range(1, 400):
+        g = next(g for g in range(14) if (s + g) % 14 in (0, 2, 4, 6, 8))
+        p_s = cdf(s) - (cdf(s - 1) if s > 1 else 0.0)
+        p_window += p_s * params.recovery_base ** (g * (g + 1) / 2)
+    return _ExactR0(
+        r0=r0,
+        p_secondary=any_given_window * p_window,
+        r0_variance=second_moment - r0**2,
+    )
 
 
 class TestVaccinationAssortativity:

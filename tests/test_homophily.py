@@ -3,6 +3,8 @@ import pytest
 import scipy.stats
 
 from sentepi.homophily import (
+    AssortativityResult,
+    _assortativity_from_codes,
     assortativity,
     bootstrap_null,
     community_enrichment,
@@ -97,6 +99,29 @@ class TestAssortativity:
     def test_no_edges_rejected(self):
         with pytest.raises(ValueError):
             assortativity({0: 1, 1: -1}, [])
+
+    def test_single_type_rule_equals_the_endpoint_set_rule(self):
+        # the margins test must agree exactly with the rule it replaced:
+        # degenerate iff one distinct type among all edge endpoints
+        def endpoint_set_rule(src, dst, n_types):
+            e = np.bincount(src * n_types + dst, minlength=n_types * n_types)
+            e = e.reshape(n_types, n_types) / src.size
+            a, b = e.sum(axis=1), e.sum(axis=0)
+            trace, sab = float(np.trace(e)), float((a * b).sum())
+            if np.unique(np.concatenate([src, dst])).size == 1:
+                return AssortativityResult(r=1.0, degenerate=True)
+            return AssortativityResult(r=(trace - sab) / (1.0 - sab))
+
+        gen = derive_stream(34).generator()
+        degenerate = 0
+        for _ in range(600):
+            n_types = int(gen.integers(1, 5))
+            used = gen.choice(n_types, size=int(gen.integers(1, n_types + 1)), replace=False)
+            src, dst = gen.choice(used, size=(2, int(gen.integers(1, 12))))
+            result = _assortativity_from_codes(src, dst, n_types)
+            assert result == endpoint_set_rule(src, dst, n_types)
+            degenerate += result.degenerate
+        assert 0 < degenerate < 600
 
 
 class TestBootstrapNull:
