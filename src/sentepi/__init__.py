@@ -4,7 +4,8 @@ Classifies short-text vaccine sentiment, analyzes homophily on the
 directed network of opinionated users, and simulates SEIR epidemics on
 weighted contact networks under assortativity-constrained vaccination
 distributions. The table layer below writes every pipeline file whole
-and reports a malformed row of a table it reads as ``path:line:``.
+and reports a malformed row or a repeated key of a table it reads as
+``path:line:``.
 """
 
 import csv
@@ -73,3 +74,16 @@ def read_csv(
                     f"{path}:{reader.line_num}: expected {expected}, got {','.join(row)!r}"
                 ) from None
             yield reader.line_num, value
+
+
+def read_mapping(
+    path: str | Path, header: Sequence[str], parse: Callable, expected: str
+) -> dict:
+    """The (key, value) pairs ``parse`` makes of the rows of a CSV read as by
+    :func:`read_csv`, as a dict; a repeated key raises InputError ``path:line:``."""
+    mapping: dict = {}
+    for line, (key, value) in read_csv(path, header, parse, expected):
+        if key in mapping:
+            raise InputError(f"{path}:{line}: repeated {header[0]} {key!r}")
+        mapping[key] = value
+    return mapping

@@ -11,10 +11,11 @@ and ``outputs`` (the sha256 of each file consumed and written) match.
 
 Exit codes: 0 success, 1 runtime failure (one ``Error:`` line, such as
 a model file that is not a model), 2 usage or configuration error,
-including a config value out of range and a malformed row in the labels
+including a config value out of range, a malformed row in the labels
 file, the coverage table, the contact network, an adjacency list or an
-intermediate file (reported as ``path:line:``). Text inputs are decoded
-as UTF-8 with invalid bytes read as U+FFFD.
+intermediate file, and a key repeated in the labels file, the coverage
+table or an intermediate file (each reported as ``path:line:``). Text
+inputs are decoded as UTF-8 with invalid bytes read as U+FFFD.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ import click
 import numpy
 import scipy
 
-from . import InputError, __version__, read_csv, write_csv, write_text
+from . import InputError, __version__, read_mapping, write_csv, write_text
 from . import classify as classify_mod
 from . import epi, flownet, homophily, timeseries
 from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
 from .stats import derive_stream
+from .synthetic import DEFAULT_CONTACT_PARAMS as _NET
 
 # Stream path roots, one per command.
 _TRAIN, _CLASSIFY, _TIMESERIES, _FLOWNET, _HOMOPHILY, _GENNET, _SWEEP = range(7)
@@ -71,12 +73,12 @@ class RunConfig:
     runs_per_r: int = 2000
     coverage: float = 0.624
     max_stall: int = 50_000
-    net_nodes: int = 1000
-    net_groups: int = 3
-    net_p_intra: float = 0.021
-    net_p_inter: float = 0.00125
-    net_weight_min: int = 90
-    net_weight_max: int = 210
+    net_nodes: int = _NET["n_nodes"]
+    net_groups: int = _NET["n_groups"]
+    net_p_intra: float = _NET["p_intra"]
+    net_p_inter: float = _NET["p_inter"]
+    net_weight_min: int = _NET["weight_range"][0]
+    net_weight_max: int = _NET["weight_range"][1]
 
     def fingerprint(self, key: str) -> str:
         """``key`` as a manifest records it: a file by the sha256 of its bytes."""
@@ -133,10 +135,13 @@ def _reader(hint) -> Callable[[object], object]:
 
 _READERS = {key: _reader(hint) for key, hint in get_type_hints(RunConfig).items()}
 _RANGES = {
-    "coverage": (lambda value: 0 <= value <= 1, "in [0, 1]"),
+    "coverage": (lambda value: 0 < value < 1, "in (0, 1)"),
     "test_split": (lambda value: 0 <= value < 1, "in [0, 1)"),
+    "r_grid": (lambda grid: grid and all(a < b for a, b in zip(grid, grid[1:])),
+               "non-empty and strictly ascending"),
     **{key: (lambda value: value >= 1, "at least 1") for key in (
-        "moving_average_window", "bootstrap_iterations", "in_fraction_iterations", "runs_per_r"
+        "moving_average_window", "bootstrap_iterations", "in_fraction_iterations", "runs_per_r",
+        "max_stall",
     )},
 }
 
@@ -172,8 +177,6 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
         except ValueError:
             raise click.UsageError(f"bad value for {key}: {value!r}") from None
     config = RunConfig(**kwargs)  # type: ignore[arg-type]
-    if any(b <= a for a, b in zip(config.r_grid, config.r_grid[1:])):
-        raise click.UsageError("r_grid must be strictly ascending")
     for key, (valid, allowed) in _RANGES.items():
         if not valid(getattr(config, key)):
             raise click.UsageError(f"{key} must be {allowed}, got {getattr(config, key)!r}")
@@ -258,12 +261,11 @@ def _load_tweets(config: RunConfig):
 def _labeled_tweets(config: RunConfig) -> list:
     """(tweet, label) pairs for the tweets that ``predictions.csv`` labels."""
     tweets = _load_tweets(config)
-    rows = read_csv(
+    labels = read_mapping(
         config.out / "predictions.csv", ["tweet_id", "label", "source"],
         lambda tweet_id, label, source: (tweet_id, SentimentLabel(label)),
         "tweet_id,label,source with a known label",
     )
-    labels = dict(row for _, row in rows)
     return [(t, labels[t.id]) for t in tweets if t.id in labels]
 
 
@@ -431,12 +433,11 @@ def timeseries_cmd(config: RunConfig) -> list[str]:
 
     if config.coverage_table is not None:
         _require_inputs(config, "coverage_table")
-        rows = read_csv(
+        coverage = read_mapping(
             config.coverage_table, ["region", "coverage"],
             lambda region, value: (region.strip(), float(value)),
             "region,coverage with a numeric coverage",
         )
-        coverage = dict(row for _, row in rows)
         r, p = timeseries.regional_correlation(scores, coverage)
         n_regions = sum(not rs.empty and rs.region in coverage for rs in scores)
         corr_path = config.out / "regional_correlation.json"

@@ -88,17 +88,17 @@ class TokenVector:
         return len(self.tokens)
 
 
-def parse_tweets(stream: IO | Iterable[str]) -> tuple[list[Tweet], int]:
+def parse_tweets(lines: IO | Iterable[str]) -> tuple[list[Tweet], int]:
     """Parse JSON-lines tweets, skipping malformed lines with a warning.
 
     Returns (tweets in input order, number of skipped lines). Duplicate
     ids are rejected: the later line is skipped. Blank lines are ignored.
-    Raises OSError only if the stream itself cannot be read.
+    Raises OSError only if ``lines`` itself cannot be read.
     """
     tweets: list[Tweet] = []
     seen_ids: set[str] = set()
     skipped = 0
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -158,25 +158,30 @@ def _parse_timestamp(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def parse_labels(stream: IO | Iterable[str]) -> dict[str, SentimentLabel]:
+def parse_labels(lines: IO | Iterable[str]) -> dict[str, SentimentLabel]:
     """Parse a two-column (tweet_id, label) CSV into a mapping.
 
     A leading ``tweet_id,label`` header line is tolerated. A line with an
-    unknown label or a wrong column count raises InputError ``name:line:``.
+    unknown label, a wrong column count or a tweet id labeled on an
+    earlier line raises InputError ``name:line:``.
     """
+    name = getattr(lines, "name", "<labels>")
     labels: dict[str, SentimentLabel] = {}
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or (lineno == 1 and line.lower() == "tweet_id,label"):
             continue
         try:
             tweet_id, label_text = line.split(",")
-            labels[tweet_id.strip()] = SentimentLabel(label_text.strip().lower())
+            label = SentimentLabel(label_text.strip().lower())
         except ValueError:
-            name = getattr(stream, "name", "<labels>")
             raise InputError(
                 f"{name}:{lineno}: expected tweet_id,label with a known label, got {line!r}"
             ) from None
+        tweet_id = tweet_id.strip()
+        if tweet_id in labels:
+            raise InputError(f"{name}:{lineno}: repeated tweet_id {tweet_id!r}")
+        labels[tweet_id] = label
     return labels
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import read_csv, write_csv
-from .stats import RandomStream, as_stream, largest_component, map_chunks, wilson_interval
+from .stats import RandomStream, largest_component, map_chunks, wilson_interval
 
 logger = logging.getLogger(__name__)
 
@@ -119,12 +119,9 @@ def transmission_probability(w: float, rate: float = 0.00767) -> float:
     return 1.0 - (1.0 - rate) ** w
 
 
-def sample_incubation(
-    rng: "np.random.Generator | RandomStream", params: SEIRParams = SEIRParams()
-) -> int:
+def sample_incubation(stream: RandomStream, params: SEIRParams = SEIRParams()) -> int:
     """Draw an incubation time in half-day steps (>= 1) by inverse CDF."""
-    gen = rng.generator() if isinstance(rng, RandomStream) else rng
-    return int(_incubation_steps(gen.random(size=1), params)[0])
+    return int(_incubation_steps(stream.generator().random(size=1), params)[0])
 
 
 def _incubation_steps(u: np.ndarray, params: SEIRParams) -> np.ndarray:
@@ -257,10 +254,10 @@ class SimResult:
 def run_seir(
     net: ContactNetwork,
     vac: VaccinationAssignment,
-    params: SEIRParams | None = None,
-    stream: RandomStream | int = 0,
-    record_trace: bool = False,
+    params: SEIRParams = SEIRParams(),
     *,
+    stream: RandomStream,
+    record_trace: bool = False,
     _index_only: bool = False,
 ) -> SimResult:
     """Simulate one outbreak from a random susceptible index case.
@@ -276,9 +273,6 @@ def run_seir(
     full run. The result is truncated: ``ever_infected``,
     ``duration_steps``, ``attack_rate`` and the trace stop there.
     """
-    if params is None:
-        params = SEIRParams()
-    stream = as_stream(stream)
     if vac.vaccinated.size != net.n:
         raise ValueError("vaccination assignment does not match network size")
     gen = stream.generator()
@@ -387,9 +381,10 @@ class R0Estimate:
 
 def estimate_r0(
     net: ContactNetwork,
-    params: SEIRParams | None = None,
+    params: SEIRParams = SEIRParams(),
     runs: int = 1000,
-    stream: RandomStream | int = 0,
+    *,
+    stream: RandomStream,
 ) -> R0Estimate:
     """Estimate the basic reproduction number on the unvaccinated network.
 
@@ -399,11 +394,10 @@ def estimate_r0(
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    stream = as_stream(stream)
     vac = VaccinationAssignment(np.zeros(net.n, dtype=bool))
     secondary = []
     for i in range(runs):
-        result = run_seir(net, vac, params, stream.child(i), _index_only=True)
+        result = run_seir(net, vac, params, stream=stream.child(i), _index_only=True)
         if result.secondary_from_index >= 1:
             secondary.append(result.secondary_from_index)
     if not secondary:
@@ -452,7 +446,7 @@ def redistribute(
     net: ContactNetwork,
     vac: VaccinationAssignment,
     target_r: float,
-    stream: RandomStream | int = 0,
+    stream: RandomStream,
     max_stall: int = 50_000,
 ) -> VaccinationAssignment:
     """Raise vaccination assortativity above ``target_r`` by status swaps.
@@ -468,7 +462,6 @@ def redistribute(
     unchanged (as a copy). ``max_stall`` consecutive rejected swaps
     raise StallError carrying the best r achieved.
     """
-    stream = as_stream(stream)
     if net.m == 0:
         raise ValueError("cannot redistribute on an edgeless network")
     vacc = np.asarray(vac.vaccinated, dtype=bool).copy()
@@ -607,7 +600,7 @@ def _sweep_chunk(args):
                 best_r=exc.best_r,
                 target_r=target_r,
             ) from None
-        result = run_seir(net, vac, params, stream.child(grid_index, j, 2))
+        result = run_seir(net, vac, params, stream=stream.child(grid_index, j, 2))
         rows.append((j, vaccination_assortativity(net, vac), result.attack_rate))
     return grid_index, rows
 
@@ -617,8 +610,8 @@ def sweep(
     coverage: float,
     r_grid: Sequence[float],
     redistributions_per_r: int,
-    stream: RandomStream | int = 0,
-    params: SEIRParams | None = None,
+    stream: RandomStream,
+    params: SEIRParams = SEIRParams(),
     workers: int = 1,
     max_stall: int = 50_000,
 ) -> SweepReport:
@@ -630,9 +623,6 @@ def sweep(
     index, redistribution index), so the report is identical for any
     worker count or scheduling order.
     """
-    stream = as_stream(stream)
-    if params is None:
-        params = SEIRParams()
     grid = [float(r) for r in r_grid]
     if not grid:
         raise ValueError("empty r grid")
@@ -698,8 +688,8 @@ def generate_synthetic_contact_network(
     n_groups: int,
     p_intra: float,
     p_inter: float,
-    weight_range: tuple[int, int] = (90, 270),
-    stream: RandomStream | int = 0,
+    weight_range: tuple[int, int],
+    stream: RandomStream,
 ) -> ContactNetwork:
     """Group-structured random contact network with integer weights.
 
@@ -710,7 +700,6 @@ def generate_synthetic_contact_network(
     the largest connected component is kept, relabeled 0..n'-1; the
     pruned size is logged.
     """
-    stream = as_stream(stream)
     if n_nodes <= 1 or n_groups < 1:
         raise ValueError("need at least 2 nodes and 1 group")
     lo, hi = int(weight_range[0]), int(weight_range[1])

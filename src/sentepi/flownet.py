@@ -16,7 +16,7 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from . import InputError, read_csv, write_csv
+from . import InputError, read_csv, read_mapping, write_csv
 from .corpus import SentimentLabel, Tally, Tweet, tally_by
 from .stats import index_edges, largest_component
 
@@ -134,17 +134,17 @@ def giant_component(network: FlowNetwork) -> FlowNetwork:
     return _induced(network, {ids[i] for i in giant})
 
 
-def read_adjacency(stream: IO | Iterable[str]) -> dict[str, set[str]]:
+def read_adjacency(lines: IO | Iterable[str]) -> dict[str, set[str]]:
     """Parse ``user_id: comma-separated ids`` lines into a mapping; a
     non-blank line without ``:`` raises InputError ``name:line:``."""
     out: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         user, colon, rest = line.partition(":")
         if not colon:
-            name = getattr(stream, "name", "<adjacency>")
+            name = getattr(lines, "name", "<adjacency>")
             raise InputError(f"{name}:{lineno}: expected user_id: ids, got {line!r}")
         ids = {part.strip() for part in rest.split(",") if part.strip()}
         out.setdefault(user.strip(), set()).update(ids)
@@ -165,8 +165,9 @@ def write_nodes_csv(path: str | Path, network: FlowNetwork) -> None:
 def read_network(nodes_path: str | Path, edges_path: str | Path) -> FlowNetwork:
     """Read an opinionated network back from the two files the writers
     produce. A node row needs non-negative integer counts and the sign
-    they give, which must be positive or negative; an edge needs both
-    ends among the nodes. A bad row raises InputError ``path:line:``."""
+    they give, which must be positive or negative, and an id of its own;
+    an edge needs both ends among the nodes. A bad row raises InputError
+    ``path:line:``."""
 
     def node(user: str, *fields: str) -> tuple[str, Tally]:
         *counts, sign = fields
@@ -175,11 +176,11 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> FlowNetwork:
             raise ValueError(sign)
         return user, tally
 
-    tallies = dict(row for _, row in read_csv(
+    tallies = read_mapping(
         nodes_path, _NODE_HEADER, node,
         "id,n_pos,n_neg,n_neu,sign with non-negative integer counts and the sign"
         " they give, positive or negative",
-    ))
+    )
 
     def edge(source: str, target: str) -> tuple[str, str]:
         if source not in tallies or target not in tallies:

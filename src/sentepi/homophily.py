@@ -100,7 +100,6 @@ class NullDistribution:
     """Replicate assortativity values under label randomization."""
 
     values: np.ndarray
-    stream: RandomStream
     mean: float = field(init=False)
     ci_low: float = field(init=False)
     ci_high: float = field(init=False)
@@ -166,7 +165,7 @@ def bootstrap_null(
     multiset = np.sort(codes)
 
     parts = map_chunks(_null_chunk, [(multiset, src, dst, k, stream)], iterations, workers)
-    return NullDistribution(values=np.concatenate(parts), stream=stream)
+    return NullDistribution(values=np.concatenate(parts))
 
 
 def _in_fractions(src: np.ndarray, dst: np.ndarray, n: int):

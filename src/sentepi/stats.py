@@ -5,7 +5,9 @@ paired Wilcoxon signed-rank test, the node index of an edge list, the
 largest connected component of a graph, reproducible splittable random
 streams, and the process pool that parallel callers share. Everything
 here is a pure function of its inputs; streams are addressed by (master
-seed, path) so parallel workers never share state.
+seed, path) so parallel workers never share state. Every stochastic
+function in the package requires a :class:`RandomStream`; entry points
+build one from an integer seed with :func:`derive_stream`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from scipy.special import stdtr
 __all__ = [
     "RandomStream",
     "derive_stream",
-    "as_stream",
     "index_edges",
     "largest_component",
     "map_chunks",
@@ -67,13 +68,6 @@ class RandomStream:
 def derive_stream(master_seed: int, *path: int) -> RandomStream:
     """Derive the stream addressed by ``path`` under ``master_seed``."""
     return RandomStream(int(master_seed), tuple(int(p) for p in path))
-
-
-def as_stream(seed_or_stream: "int | RandomStream") -> RandomStream:
-    """Coerce an integer seed to a root stream; pass streams through."""
-    if isinstance(seed_or_stream, RandomStream):
-        return seed_or_stream
-    return derive_stream(seed_or_stream)
 
 
 def map_chunks(

@@ -130,7 +130,7 @@ def _homophilous_edges(
 # Calibrated so that, with everything unvaccinated, the conditional
 # basic reproduction number lands near 2.3, the generated graph is
 # connected at exactly 1000 nodes, and clustering vaccination at
-# coverage 0.624 visibly raises outbreak risk.
+# coverage 0.624 visibly raises outbreak risk. They are the `gen-net` defaults.
 DEFAULT_CONTACT_PARAMS = {
     "n_nodes": 1000,
     "n_groups": 3,
@@ -143,15 +143,9 @@ DEFAULT_CONTACT_PARAMS = {
 
 def default_contact_network() -> ContactNetwork:
     """The bundled calibrated contact network (1000 nodes, 3 groups)."""
-    p = DEFAULT_CONTACT_PARAMS
-    return generate_synthetic_contact_network(
-        n_nodes=p["n_nodes"],
-        n_groups=p["n_groups"],
-        p_intra=p["p_intra"],
-        p_inter=p["p_inter"],
-        weight_range=p["weight_range"],
-        stream=derive_stream(p["seed"]),
-    )
+    params = dict(DEFAULT_CONTACT_PARAMS)
+    stream = derive_stream(params.pop("seed"))
+    return generate_synthetic_contact_network(**params, stream=stream)
 
 
 # --- end-to-end pipeline fixture -------------------------------------------

@@ -210,7 +210,7 @@ def test_seir_invariants_over_randomized_runs():
                 net,
                 VaccinationAssignment(np.zeros(net.n, dtype=bool)),
                 silent,
-                derive_stream(7004, run_idx),
+                stream=derive_stream(7004, run_idx),
             )
             assert result.ever_infected == 1
             assert result.attack_rate == 1 / net.n

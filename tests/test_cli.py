@@ -369,6 +369,7 @@ class TestErrorHandling:
             "coverage = 1.5", "coverage = -0.1", "test_split = 1", "test_split = -0.2",
             "moving_average_window = 0", "bootstrap_iterations = 0",
             "in_fraction_iterations = -1", "runs_per_r = 0",
+            "coverage = 0", "coverage = 1", "max_stall = 0", "r_grid =", "r_grid = 0.1,0.05",
         ],
     )
     def test_out_of_range_value_is_usage_error_naming_the_key(self, tmp_path, setting):
@@ -509,6 +510,29 @@ class TestStageProtocol:
         result = run_copy(stage, "--force")
         assert result.exit_code == 2
         assert f"{name}:{line}: expected " in result.output
+
+    @pytest.mark.parametrize(
+        "name, key, stage",
+        [("labels.csv", "labels", "train"), ("coverage.csv", "coverage_table", "timeseries"),
+         ("predictions.csv", None, "timeseries"), ("opinion_nodes.csv", None, "homophily")],
+    )
+    def test_repeated_key_is_usage_error_naming_it(
+        self, run_copy, pipeline_dir, tmp_path, name, key, stage
+    ):
+        config, path = pipeline_dir["config"], run_copy.out / name
+        if key:  # an input file: repeat a key in a copy the config names
+            path = tmp_path / name
+            shutil.copy(pipeline_dir["root"] / "data" / name, path)
+            config = tmp_path / "repeat.conf"
+            config.write_text(pipeline_dir["config"].read_text() + f"{key} = {path}\n")
+        rows = path.read_text().splitlines()
+        with open(path, "a") as fh:
+            fh.write(rows[1] + "\n")
+        result = run_copy(stage, *(() if stage == "train" else ("--force",)), config=config)
+        assert result.exit_code == 2
+        repeated = rows[1].split(",")[0]
+        assert f"{name}:{len(rows) + 1}: repeated " in result.output
+        assert f"{repeated!r}" in result.output
 
     def test_regional_correlation_counts_the_regions_it_used(
         self, run_copy, pipeline_dir, tmp_path

@@ -148,7 +148,7 @@ class TestRunSeir:
     def test_no_susceptible_rejected(self):
         net = _net(2, [(0, 1, 100)])
         with pytest.raises(ValueError, match="susceptible"):
-            run_seir(net, VaccinationAssignment(np.array([True, True])))
+            run_seir(net, VaccinationAssignment(np.array([True, True])), stream=derive_stream(5))
 
     def test_deterministic_given_stream(self):
         net = default_contact_network()
@@ -172,7 +172,7 @@ class TestRunSeir:
         params = SEIRParams(transmission_rate=1.0)
         vac = random_assignment(net, 0.5, derive_stream(6))
         for seed in range(20):
-            result = run_seir(net, vac, params, derive_stream(seed), record_trace=True)
+            result = run_seir(net, vac, params, stream=derive_stream(seed), record_trace=True)
             assert result.ever_infected <= 20 - vac.n_vaccinated
             # recovered count never drops below the vaccinated block
             for _, _, _, r in result.trace:
@@ -182,7 +182,7 @@ class TestRunSeir:
         net = _two_cliques(8)
         params = SEIRParams(transmission_rate=0.0)
         for seed in range(20):
-            result = run_seir(net, _no_vaccine(16), params, derive_stream(seed))
+            result = run_seir(net, _no_vaccine(16), params, stream=derive_stream(seed))
             assert result.ever_infected == 1
 
     def test_certain_transmission_is_all_or_nothing_on_a_clique(self):
@@ -192,7 +192,7 @@ class TestRunSeir:
         params = SEIRParams(transmission_rate=1.0)
         outcomes = set()
         for seed in range(60):
-            result = run_seir(net, _no_vaccine(5), params, derive_stream(seed))
+            result = run_seir(net, _no_vaccine(5), params, stream=derive_stream(seed))
             outcomes.add(result.ever_infected)
         assert outcomes == {1, 5}
 
@@ -246,8 +246,8 @@ class TestEstimateR0:
             stream = derive_stream(seed)
             secondary = []
             for i in range(runs):
-                full = run_seir(net, vac, None, stream.child(i))
-                cut = run_seir(net, vac, None, stream.child(i), _index_only=True)
+                full = run_seir(net, vac, stream=stream.child(i))
+                cut = run_seir(net, vac, stream=stream.child(i), _index_only=True)
                 assert (cut.index_node, cut.secondary_from_index) == (
                     full.index_node, full.secondary_from_index
                 )

@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import math
+import pkgutil
 from itertools import product
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sentepi
+import sentepi.stats
 from sentepi.stats import (
     RandomStream,
     _average_ranks,
@@ -244,6 +250,24 @@ class TestRandomStreams:
 
     def test_child_extends_path(self):
         assert derive_stream(7, 1).child(2, 3) == RandomStream(7, (1, 2, 3))
+
+    def test_every_stream_parameter_is_a_required_random_stream(self):
+        checked = set()
+        for info in pkgutil.iter_modules(sentepi.__path__):
+            module = importlib.import_module(f"sentepi.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                fn = getattr(module, name)
+                if not inspect.isfunction(fn):
+                    continue
+                param = inspect.signature(fn).parameters.get("stream")
+                if param is None:
+                    continue
+                checked.add(f"{info.name}.{name}")
+                assert get_type_hints(fn)["stream"] is RandomStream, checked
+                assert param.default is inspect.Parameter.empty, f"{info.name}.{name}"
+        assert {"epi.run_seir", "epi.estimate_r0", "epi.sample_incubation",
+                "homophily.bootstrap_null", "synthetic.synthetic_corpus"} <= checked
+        assert "as_stream" not in sentepi.stats.__all__
 
     def test_uniformity_chi_square(self):
         draws = derive_stream(2024, 99).generator().random(10**6)
