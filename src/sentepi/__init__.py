@@ -51,39 +51,50 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     _replace(path, write)
 
 
+def _name(source: str | Path | Iterable[str]) -> object:
+    """How errors name a table: a path as given, a file by its ``name``."""
+    return source if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "<input>")
+
+
 def read_csv(
-    path: str | Path, header: Sequence[str], parse: Callable, expected: str
+    source: str | Path | Iterable[str], header: Sequence[str], parse: Callable, expected: str
 ) -> Iterator[tuple[int, object]]:
     """Yield (line, ``parse(*fields)``) for each non-empty row of a CSV
-    headed ``header``; a wrong header or field count, or a ValueError from
-    ``parse``, raises InputError ``path:line: expected <expected>, got …``."""
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != list(header):
-            raise InputError(f"{path}:1: expected header {','.join(header)}, got {first}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError
-                value = parse(*row)
-            except ValueError:
-                raise InputError(
-                    f"{path}:{reader.line_num}: expected {expected}, got {','.join(row)!r}"
-                ) from None
-            yield reader.line_num, value
+    headed ``header``, read from a path or from an open text file or other
+    iterable of lines; a wrong header or field count, or a ValueError from
+    ``parse``, raises InputError ``name:line: expected <expected>, got …``,
+    where ``name`` is the path or the file's ``name``."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, newline="", encoding="utf-8", errors="replace") as fh:
+            yield from read_csv(fh, header, parse, expected)
+        return
+    name = _name(source)
+    reader = csv.reader(source)
+    first = next(reader, None)
+    if first != list(header):
+        raise InputError(f"{name}:1: expected header {','.join(header)}, got {first}")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError
+            value = parse(*row)
+        except ValueError:
+            raise InputError(
+                f"{name}:{reader.line_num}: expected {expected}, got {','.join(row)!r}"
+            ) from None
+        yield reader.line_num, value
 
 
 def read_mapping(
-    path: str | Path, header: Sequence[str], parse: Callable, expected: str
+    source: str | Path | Iterable[str], header: Sequence[str], parse: Callable, expected: str
 ) -> dict:
     """The (key, value) pairs ``parse`` makes of the rows of a CSV read as by
-    :func:`read_csv`, as a dict; a repeated key raises InputError ``path:line:``."""
+    :func:`read_csv`, as a dict; a repeated key raises InputError ``name:line:``."""
     mapping: dict = {}
-    for line, (key, value) in read_csv(path, header, parse, expected):
+    for line, (key, value) in read_csv(source, header, parse, expected):
         if key in mapping:
-            raise InputError(f"{path}:{line}: repeated {header[0]} {key!r}")
+            raise InputError(f"{_name(source)}:{line}: repeated {header[0]} {key!r}")
         mapping[key] = value
     return mapping

@@ -2,10 +2,11 @@
 
 Commands share one flat ``key = value`` configuration file; flags win
 over file values. All randomness flows from the single master seed
-through per-command stream paths. Every command is a pipeline stage
-registered through :func:`_stage`, which checks the stage's inputs and
-its upstream chain, deletes its own manifest first and writes it last;
-every file is replaced whole. A manifest is fresh while its ``reads``
+through per-command stream paths; ``gen-net`` writes the calibrated
+contact network, the same for every seed. Every command is a pipeline
+stage registered through :func:`_stage`, which checks the stage's inputs
+and its upstream chain, deletes its own manifest first and writes it
+last; every file is replaced whole. A manifest is fresh while its ``reads``
 (each config key the stage read; a file by its sha256), ``upstream``
 and ``outputs`` (the sha256 of each file consumed and written) match.
 
@@ -36,12 +37,12 @@ import scipy
 
 from . import InputError, __version__, read_mapping, write_csv, write_text
 from . import classify as classify_mod
-from . import epi, flownet, homophily, timeseries
+from . import epi, flownet, homophily, synthetic, timeseries
 from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
 from .stats import derive_stream
-from .synthetic import DEFAULT_CONTACT_PARAMS as _NET
 
-# Stream path roots, one per command.
+# Stream path roots, one per command. gen-net draws nothing (it writes the
+# calibrated network), but its root stays reserved so sweep keeps root 6.
 _TRAIN, _CLASSIFY, _TIMESERIES, _FLOWNET, _HOMOPHILY, _GENNET, _SWEEP = range(7)
 _STAGES: dict = {}  # name -> (required input keys, config -> upstream stage or None)
 
@@ -73,12 +74,6 @@ class RunConfig:
     runs_per_r: int = 2000
     coverage: float = 0.624
     max_stall: int = 50_000
-    net_nodes: int = _NET["n_nodes"]
-    net_groups: int = _NET["n_groups"]
-    net_p_intra: float = _NET["p_intra"]
-    net_p_inter: float = _NET["p_inter"]
-    net_weight_min: int = _NET["weight_range"][0]
-    net_weight_max: int = _NET["weight_range"][1]
 
     def fingerprint(self, key: str) -> str:
         """``key`` as a manifest records it: a file by the sha256 of its bytes."""
@@ -139,9 +134,13 @@ _RANGES = {
     "test_split": (lambda value: 0 <= value < 1, "in [0, 1)"),
     "r_grid": (lambda grid: grid and all(a < b for a, b in zip(grid, grid[1:])),
                "non-empty and strictly ascending"),
+    "nb_smoothing": (lambda value: value > 0, "positive"),
+    "maxent_l2": (lambda value: value >= 0, "non-negative"),
+    "maxent_tol": (lambda value: value > 0, "positive"),
+    "min_community_fraction": (lambda value: 0 <= value <= 1, "in [0, 1]"),
     **{key: (lambda value: value >= 1, "at least 1") for key in (
-        "moving_average_window", "bootstrap_iterations", "in_fraction_iterations", "runs_per_r",
-        "max_stall",
+        "maxent_max_iter", "moving_average_window", "bootstrap_iterations",
+        "in_fraction_iterations", "runs_per_r", "max_stall",
     )},
 }
 
@@ -352,8 +351,7 @@ def _stage(
 def train(config: RunConfig) -> list[str]:
     """Train the sentiment ensemble on the labeled tweets."""
     tweets = _load_tweets(config)
-    with open(config.labels, encoding="utf-8", errors="replace") as fh:
-        labels = parse_labels(fh)
+    labels = parse_labels(config.labels)
 
     docs = [
         (tokenize(tweet.text), labels[tweet.id])
@@ -396,8 +394,7 @@ def classify_cmd(config: RunConfig) -> list[str]:
     """Predict labels for tweets without a manual label."""
     model = classify_mod.load_ensemble(config.out / "ensemble_model.json")
     tweets = _load_tweets(config)
-    with open(config.labels, encoding="utf-8", errors="replace") as fh:
-        labels = parse_labels(fh)
+    labels = parse_labels(config.labels)
 
     unlabeled = [tweet for tweet in tweets if tweet.id not in labels]
     predicted = iter(model.predict_batch([tokenize(tweet.text) for tweet in unlabeled]))
@@ -526,15 +523,8 @@ def homophily_cmd(config: RunConfig, workers: int) -> list[str]:
 
 @_stage("gen-net")
 def gen_net(config: RunConfig) -> list[str]:
-    """Generate the synthetic group-structured contact network."""
-    net = epi.generate_synthetic_contact_network(
-        n_nodes=config.net_nodes,
-        n_groups=config.net_groups,
-        p_intra=config.net_p_intra,
-        p_inter=config.net_p_inter,
-        weight_range=(config.net_weight_min, config.net_weight_max),
-        stream=derive_stream(config.seed, _GENNET, 0),
-    )
+    """Write the calibrated contact network; it reads no config key."""
+    net = synthetic.default_contact_network()
     net_path = config.out / "contact_network.csv"
     epi.write_contact_network(net_path, net)
     click.echo(f"wrote {net_path}: {net.n} nodes, {net.m} edges")

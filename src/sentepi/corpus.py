@@ -2,7 +2,7 @@
 
 Input files are JSON-lines: one record per line with fields ``id``,
 ``user_id``, ``timestamp`` (ISO-8601, UTC), ``text`` and an optional
-``region``. Labels arrive as two-column CSV (tweet_id, label).
+``region``. Labels arrive as a CSV headed ``tweet_id,label``.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from pathlib import Path
 from typing import IO, Callable, Hashable, Iterable
 
-from . import InputError
+from . import read_mapping
 from .stemming import stem
 
 logger = logging.getLogger(__name__)
@@ -158,31 +159,17 @@ def _parse_timestamp(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def parse_labels(lines: IO | Iterable[str]) -> dict[str, SentimentLabel]:
-    """Parse a two-column (tweet_id, label) CSV into a mapping.
+def parse_labels(source: str | Path | Iterable[str]) -> dict[str, SentimentLabel]:
+    """Parse a ``tweet_id,label`` CSV, header required, from a path or lines.
 
-    A leading ``tweet_id,label`` header line is tolerated. A line with an
-    unknown label, a wrong column count or a tweet id labeled on an
-    earlier line raises InputError ``name:line:``.
+    A wrong header, an unknown label, a wrong column count or a tweet id
+    labeled on an earlier line raises InputError ``name:line:``.
     """
-    name = getattr(lines, "name", "<labels>")
-    labels: dict[str, SentimentLabel] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or (lineno == 1 and line.lower() == "tweet_id,label"):
-            continue
-        try:
-            tweet_id, label_text = line.split(",")
-            label = SentimentLabel(label_text.strip().lower())
-        except ValueError:
-            raise InputError(
-                f"{name}:{lineno}: expected tweet_id,label with a known label, got {line!r}"
-            ) from None
-        tweet_id = tweet_id.strip()
-        if tweet_id in labels:
-            raise InputError(f"{name}:{lineno}: repeated tweet_id {tweet_id!r}")
-        labels[tweet_id] = label
-    return labels
+    return read_mapping(
+        source, ["tweet_id", "label"],
+        lambda tweet_id, label: (tweet_id.strip(), SentimentLabel(label.strip().lower())),
+        "tweet_id,label with a known label",
+    )
 
 
 def _stem_fixpoint(word: str) -> str:

@@ -112,7 +112,7 @@ class SEIRParams:
             raise ValueError("incubation offset must be non-negative")
 
 
-def transmission_probability(w: float, rate: float = 0.00767) -> float:
+def transmission_probability(w: float, rate: float = SEIRParams.transmission_rate) -> float:
     """Per-day-step transmission probability along an edge of weight w."""
     if w < 0:
         raise ValueError("weight must be non-negative")
@@ -639,7 +639,7 @@ def sweep(
     for gi, rows in map_chunks(_sweep_chunk, heads, redistributions_per_r, workers):
         per_point[gi].extend(rows)
 
-    thresholds = (0.03, 0.05)
+    thresholds = SweepReport.attack_thresholds
     points = []
     baseline: tuple[float, float] | None = None
     for gi, target in enumerate(grid):
@@ -670,7 +670,6 @@ def sweep(
         points=tuple(points),
         coverage=coverage,
         redistributions_per_r=redistributions_per_r,
-        attack_thresholds=thresholds,
     )
 
 

@@ -3,8 +3,8 @@
 Real tweet corpora and school contact networks are not redistributable,
 so the test suite and the example pipeline run on generated stand-ins:
 a four-class corpus with partially shared vocabulary, opinionated
-networks with tunable homophily, and a calibrated group-structured
-contact network.
+networks with tunable homophily, and the one calibrated
+group-structured contact network that the ``gen-net`` command writes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "synthetic_corpus",
     "synthetic_opinionated_network",
     "default_contact_network",
-    "DEFAULT_CONTACT_PARAMS",
     "write_pipeline_fixture",
 ]
 
@@ -127,25 +126,15 @@ def _homophilous_edges(
     return edges
 
 
-# Calibrated so that, with everything unvaccinated, the conditional
-# basic reproduction number lands near 2.3, the generated graph is
-# connected at exactly 1000 nodes, and clustering vaccination at
-# coverage 0.624 visibly raises outbreak risk. They are the `gen-net` defaults.
-DEFAULT_CONTACT_PARAMS = {
-    "n_nodes": 1000,
-    "n_groups": 3,
-    "p_intra": 0.021,
-    "p_inter": 0.00125,
-    "weight_range": (90, 210),
-    "seed": 73,
-}
-
-
 def default_contact_network() -> ContactNetwork:
-    """The bundled calibrated contact network (1000 nodes, 3 groups)."""
-    params = dict(DEFAULT_CONTACT_PARAMS)
-    stream = derive_stream(params.pop("seed"))
-    return generate_synthetic_contact_network(**params, stream=stream)
+    """The bundled calibrated contact network (1000 nodes, 3 groups); ``gen-net`` writes it."""
+    # Calibrated so that, with everything unvaccinated, the conditional
+    # basic reproduction number lands near 2.3, the generated graph is
+    # connected at exactly 1000 nodes, and clustering vaccination at
+    # coverage 0.624 visibly raises outbreak risk.
+    return generate_synthetic_contact_network(
+        1000, 3, p_intra=0.021, p_inter=0.00125, weight_range=(90, 210), stream=derive_stream(73)
+    )
 
 
 # --- end-to-end pipeline fixture -------------------------------------------

@@ -8,6 +8,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from sentepi.classify import (
     train_maxent,
     train_naive_bayes,
 )
+from sentepi.cli import RunConfig
 from sentepi.cli import main as cli_main
 from sentepi.corpus import LABEL_ORDER, TokenVector
 from sentepi.epi import (
@@ -304,12 +306,6 @@ def test_pipeline_determinism(tmp_path):
                 "r_grid = 0,0.1",
                 "runs_per_r = 60",
                 "coverage = 0.6",
-                "net_nodes = 150",
-                "net_groups = 3",
-                "net_p_intra = 0.15",
-                "net_p_inter = 0.02",
-                "net_weight_min = 90",
-                "net_weight_max = 150",
             ]
         )
         outputs = {}
@@ -327,3 +323,8 @@ def test_pipeline_determinism(tmp_path):
             assert path_one.read_bytes() == path_two.read_bytes(), path_one.name
             compared += 1
         assert compared >= 10  # models, manifests, and every CSV/JSON report
+
+        # every config key but the output directory is read by some stage
+        manifests = outputs["one"].glob("manifest_*.json")
+        read = set().union(*(json.loads(path.read_text())["reads"] for path in manifests))
+        assert read == {fld.name for fld in fields(RunConfig)} - {"out"}

@@ -8,9 +8,9 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from sentepi import cli
+from sentepi import cli, epi
 from sentepi.cli import RunConfig, _parse_grid, load_config, main
-from sentepi.synthetic import write_pipeline_fixture
+from sentepi.synthetic import default_contact_network, write_pipeline_fixture
 
 
 class TestConfigParsing:
@@ -116,12 +116,6 @@ def pipeline_dir(tmp_path_factory):
                 "r_grid = 0,0.1",
                 "runs_per_r = 25",
                 "coverage = 0.6",
-                "net_nodes = 120",
-                "net_groups = 3",
-                "net_p_intra = 0.2",
-                "net_p_inter = 0.02",
-                "net_weight_min = 90",
-                "net_weight_max = 150",
                 "",
             ]
         )
@@ -207,6 +201,16 @@ class TestPipelineCommands:
         assert result.exit_code == 0, result.output
         net = (pipeline_dir["out"] / "contact_network.csv").read_text().splitlines()
         assert net[0] == "u,v,w"
+
+    @pytest.mark.parametrize("seed", [7, 1])
+    def test_gen_net_writes_the_calibrated_network_for_any_seed(self, tmp_path, seed):
+        result = _run(["gen-net", "--seed", str(seed), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        epi.write_contact_network(tmp_path / "pinned.csv", default_contact_network())
+        written = (tmp_path / "o" / "contact_network.csv").read_bytes()
+        assert written == (tmp_path / "pinned.csv").read_bytes()
+        manifest = json.loads((tmp_path / "o" / "manifest_gen-net.json").read_text())
+        assert manifest["reads"] == {}
 
     def test_07_sweep(self, pipeline_dir):
         result = _run(["sweep", "--config", str(pipeline_dir["config"])])
@@ -363,6 +367,15 @@ class TestErrorHandling:
         assert result.exit_code == 2
         assert f"{data['labels']}:{line}: expected tweet_id,label" in result.output
 
+    def test_headerless_labels_file_is_usage_error_with_location(self, tmp_path):
+        data, config = self._small_run(tmp_path, seed=6)
+        rows = data["labels"].read_text().splitlines()
+        assert rows[0] == "tweet_id,label"
+        data["labels"].write_text("\n".join(rows[1:]) + "\n")
+        result = _run(["train", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"{data['labels']}:1: expected header" in result.output
+
     @pytest.mark.parametrize(
         "setting",
         [
@@ -370,6 +383,8 @@ class TestErrorHandling:
             "moving_average_window = 0", "bootstrap_iterations = 0",
             "in_fraction_iterations = -1", "runs_per_r = 0",
             "coverage = 0", "coverage = 1", "max_stall = 0", "r_grid =", "r_grid = 0.1,0.05",
+            "nb_smoothing = 0", "maxent_l2 = -5", "maxent_tol = 0", "maxent_max_iter = 0",
+            "min_community_fraction = 2",
         ],
     )
     def test_out_of_range_value_is_usage_error_naming_the_key(self, tmp_path, setting):
