@@ -13,14 +13,15 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Mapping, Sequence, get_type_hints
 
 import numpy as np
-from scipy import sparse
 
 from . import write_text
 from .corpus import LABEL_ORDER, SentimentLabel, TokenVector
 
+if TYPE_CHECKING:
+    from scipy import sparse
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -49,6 +50,7 @@ def featurize(
 
     Both classifiers train and predict on this one representation.
     """
+    from scipy import sparse
     indptr, indices, data = [0], [], []
     for tv in token_vectors:
         for token, count in tv.counts.items():
@@ -204,6 +206,7 @@ def train_naive_bayes(docs: Sequence[LabeledDoc], smoothing: float = 1.0) -> Nai
     only on the empirical distributions: duplicating the whole corpus k
     times changes nothing.
     """
+    from scipy import sparse
     if smoothing <= 0:
         raise ValueError("smoothing must be positive")
     labels, vocabulary, X, y = _training_set(docs)

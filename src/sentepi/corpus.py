@@ -7,6 +7,7 @@ Input files are JSON-lines: one record per line with fields ``id``,
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from collections import Counter
@@ -183,6 +184,18 @@ def _stem_fixpoint(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _chunk_tokens(chunk: str) -> tuple[str, ...]:
+    # '!' is not alphanumeric, so the word and the bangs never overlap.
+    word = "".join(filter(str.isalnum, chunk))
+    bangs = ("!",) * chunk.count("!")
+    if not word or word in STOP_WORDS:
+        return bangs
+    if word.isalpha():
+        word = _stem_fixpoint(word)
+    return bangs if word in STOP_WORDS else (word, *bangs)
+
+
 def tokenize(text: str) -> TokenVector:
     """Normalize text into the feature tokens both classifiers consume.
 
@@ -192,23 +205,14 @@ def tokenize(text: str) -> TokenVector:
     alphabetic tokens (to a fixed point). Stems that collapse onto a
     stop word are dropped as well, so the output never contains a
     stop-list token and re-tokenizing the output reproduces it.
+
+    The tokens of each whitespace chunk are memoized process-wide in a
+    least-recently-used cache of at most 65,536 chunks, so a repeated
+    word is cleaned and stemmed once.
     """
     out: list[str] = []
     for chunk in text.lower().split():
-        word_chars: list[str] = []
-        bangs = 0
-        for ch in chunk:
-            if ch == "!":
-                bangs += 1
-            elif ch.isalnum():
-                word_chars.append(ch)
-        word = "".join(word_chars)
-        if word and word not in STOP_WORDS:
-            if word.isalpha():
-                word = _stem_fixpoint(word)
-            if word not in STOP_WORDS:
-                out.append(word)
-        out.extend("!" * bangs)
+        out.extend(_chunk_tokens(chunk))
     return TokenVector.from_tokens(out)
 
 

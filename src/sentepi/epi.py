@@ -17,6 +17,7 @@ soon as the index case's secondary count is final.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import astuple, dataclass, field, fields
@@ -204,6 +205,11 @@ class ContactNetwork:
     def neighbors(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[node], self.indptr[node + 1]
         return self.nbr[lo:hi], self.nbr_w[lo:hi]
+
+    @functools.cached_property
+    def neighbor_lists(self) -> list[list[int]]:
+        """Each node's neighbours as Python lists, built once; read-only."""
+        return [self.nbr[self.indptr[i] : self.indptr[i + 1]].tolist() for i in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -478,9 +484,7 @@ def redistribute(
 
     status = vacc.tolist()
     deg = net.degrees.tolist()
-    neighbors = [
-        net.nbr[net.indptr[i] : net.indptr[i + 1]].tolist() for i in range(net.n)
-    ]
+    neighbors = net.neighbor_lists
     vacc_nodes = [i for i in range(net.n) if status[i]]
     unvacc_nodes = [i for i in range(net.n) if not status[i]]
     position = [0] * net.n

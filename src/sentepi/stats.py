@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 __all__ = [
     "RandomStream",
@@ -169,6 +168,7 @@ def weighted_pearson(x, y, w) -> tuple[float, float]:
     if 1.0 - r * r < 1e-15:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    from scipy.special import stdtr
     p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, min(1.0, p)
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -629,3 +632,17 @@ class TestSeedOverride:
         assert _run(["train", "--config", str(config), "--seed", "77"]).exit_code == 0
         manifest = json.loads((out / "manifest_train.json").read_text())
         assert manifest["seed"] == 77
+
+
+def test_importing_the_cli_loads_no_scipy_sparse_or_special():
+    # Only train/classify need scipy.sparse and only weighted_pearson needs
+    # scipy.special; every other stage should not pay for importing them.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import sentepi.cli"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "sentepi.cli" in modules
+    assert not [m for m in modules if m.startswith(("scipy.sparse", "scipy.special"))]

@@ -15,6 +15,7 @@ from sentepi.corpus import (
     parse_tweets,
     tokenize,
 )
+from sentepi.corpus import _chunk_tokens, _stem_fixpoint
 from sentepi.stemming import stem
 
 # Full-pipeline values for the worked examples that come with the
@@ -204,3 +205,53 @@ class TestTokenize:
         assert sum(tv.counts.values()) == len(tv.tokens)
         for token in set(tv.tokens):
             assert tv.counts[token] == tv.tokens.count(token)
+
+
+def _reference_tokens(text):
+    """The uncached per-character tokenizer that ``_chunk_tokens`` memoizes."""
+    out = []
+    for chunk in text.lower().split():
+        word_chars = []
+        bangs = 0
+        for ch in chunk:
+            if ch == "!":
+                bangs += 1
+            elif ch.isalnum():
+                word_chars.append(ch)
+        word = "".join(word_chars)
+        if word and word not in STOP_WORDS:
+            if word.isalpha():
+                word = _stem_fixpoint(word)
+            if word not in STOP_WORDS:
+                out.append(word)
+        out.extend("!" * bangs)
+    return tuple(out)
+
+
+class TestChunkMemo:
+    @given(st.text(max_size=120))
+    @settings(max_examples=300)
+    def test_equals_the_uncached_reference(self, text):
+        assert tokenize(text).tokens == _reference_tokens(text)
+
+    @pytest.mark.parametrize("text", [
+        "!!", "wow!!!", "!a!n!", "h1n1", "H1N1!", "Ünïcödé café naïve", "日本語 ١٢٣",
+        "thes", "i!s !the! vaccines worked", "12!34 ab-12",
+    ])
+    def test_equals_the_reference_on_edge_cases(self, text):
+        assert tokenize(text).tokens == _reference_tokens(text)
+
+    def test_word_stemming_onto_a_stop_word_is_dropped(self):
+        assert _stem_fixpoint("thes") == "the"
+        assert tokenize("thes! shots").tokens == ("!", "shot")
+
+    def test_repeated_chunk_is_stable_across_a_cache_clear(self):
+        text = "Vaccines vaccines! vaccines"
+        first = tokenize(text).tokens
+        assert first == tokenize(text).tokens == _reference_tokens(text)
+        _chunk_tokens.cache_clear()
+        assert tokenize(text).tokens == first
+        assert _chunk_tokens.cache_info().hits >= 1
+
+    def test_cache_is_bounded(self):
+        assert _chunk_tokens.cache_info().maxsize == 1 << 16

@@ -106,6 +106,13 @@ class TestContactNetwork:
         assert sorted(nbrs.tolist()) == [1, 2]
         assert sorted(wts.tolist()) == [90, 120]
 
+    def test_neighbor_lists_match_neighbors(self):
+        net = default_contact_network()
+        assert len(net.neighbor_lists) == net.n
+        for i in range(net.n):
+            assert net.neighbor_lists[i] == net.neighbors(i)[0].tolist()
+        assert net.neighbor_lists is net.neighbor_lists
+
     def test_csv_round_trip(self, tmp_path):
         net = _net(4, [(0, 1, 90), (1, 2, 200), (2, 3, 150)])
         path = tmp_path / "net.csv"
@@ -374,6 +381,19 @@ class TestRedistribute:
         a = redistribute(net, vac, 0.1, derive_stream(34))
         b = redistribute(net, vac, 0.1, derive_stream(34))
         assert np.array_equal(a.vaccinated, b.vaccinated)
+
+    def test_cached_neighbor_lists_change_nothing(self):
+        net = default_contact_network()
+        fresh = ContactNetwork.from_edges(
+            net.n, list(zip(net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist()))
+        )
+        vac = random_assignment(net, 0.624, derive_stream(37))
+        net.neighbor_lists  # build the cache before the first call
+        warm = redistribute(net, vac, 0.1, derive_stream(38))
+        assert "neighbor_lists" not in vars(fresh)
+        cold = redistribute(fresh, vac, 0.1, derive_stream(38))
+        assert np.array_equal(warm.vaccinated, cold.vaccinated)
+        assert net.neighbor_lists == fresh.neighbor_lists
 
     def test_stall_raises_with_best_r(self):
         # a 4-node path cannot reach r ~ 1 at coverage 1/2
