@@ -149,8 +149,9 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
     """Read the flat key = value file and apply flag overrides."""
     values: dict[str, object] = {}
     if path is not None:
-        if not path.exists():
-            raise click.UsageError(f"config file not found: {path}")
+        if not path.is_file():
+            problem = "config is not a file" if path.exists() else "config file not found"
+            raise click.UsageError(f"{problem}: {path}")
         text = path.read_text(encoding="utf-8", errors="replace")
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -187,8 +188,9 @@ def _require_inputs(config: RunConfig, *names: str) -> None:
         path = getattr(config, name)
         if path is None:
             raise click.UsageError(f"config key '{name}' is required for this command")
-        if not Path(path).exists():
-            raise click.UsageError(f"{name} file not found: {path}")
+        if not Path(path).is_file():
+            problem = "is not a file" if Path(path).exists() else "file not found"
+            raise click.UsageError(f"{name} {problem}: {path}")
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -175,11 +175,11 @@ def parse_labels(source: str | Path | Iterable[str]) -> dict[str, SentimentLabel
 
 def _stem_fixpoint(word: str) -> str:
     # Porter stemming is not idempotent (agreed -> agre -> agr), so stem
-    # until stable: re-tokenizing tokenizer output must reproduce it.
-    for _ in range(8):
-        stemmed = stem(word)
-        if stemmed == word:
-            return word
+    # until stable: re-tokenizing tokenizer output must reproduce it. The
+    # loop ends: a call that changes the word shortens it, or keeps its
+    # length through y -> i, enci -> ence, anci -> ance or abli -> able,
+    # which lower its count of y, or else of i, so no word recurs.
+    while (stemmed := stem(word)) != word:
         word = stemmed
     return word
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import read_csv, write_csv
+from . import InputError, read_csv, write_csv
 from .stats import RandomStream, largest_component, map_chunks, wilson_interval
 
 logger = logging.getLogger(__name__)
@@ -113,9 +113,12 @@ class SEIRParams:
             raise ValueError("incubation offset must be non-negative")
 
 
-def transmission_probability(w: float, rate: float = SEIRParams.transmission_rate) -> float:
-    """Per-day-step transmission probability along an edge of weight w."""
-    if w < 0:
+def transmission_probability(
+    w: float | np.ndarray, rate: float = SEIRParams.transmission_rate
+) -> float | np.ndarray:
+    """Per-day-step transmission probability along an edge of weight w,
+    or along each edge of an array of weights."""
+    if (np.asarray(w) < 0).any():
         raise ValueError("weight must be non-negative")
     return 1.0 - (1.0 - rate) ** w
 
@@ -131,6 +134,25 @@ def _incubation_steps(u: np.ndarray, params: SEIRParams) -> np.ndarray:
     days = params.incubation_offset_days + params.incubation_scale_days * draw
     steps = np.floor(days / 0.5 + 0.5).astype(np.int64)
     return np.maximum(steps, 1)
+
+
+def _canonical_edge(u: int, v: int, w: int, n: float, seen: set) -> tuple[int, int, int]:
+    """The edge of a network of n nodes as (min, max, w), its node pair
+    added to ``seen``; an edge breaking a rule raises ValueError."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) references a missing node")
+    if u == v:
+        raise ValueError(f"self-loop at node {u}")
+    if w < MIN_EDGE_WEIGHT:
+        raise ValueError(
+            f"edge ({u}, {v}) has weight {w} < {MIN_EDGE_WEIGHT}; "
+            "contacts shorter than 30 minutes are not eligible"
+        )
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ValueError(f"duplicate edge {key}")
+    seen.add(key)
+    return key[0], key[1], w
 
 
 @dataclass(frozen=True)
@@ -155,25 +177,8 @@ class ContactNetwork:
         """Validate and index an edge list of (u, v, w) triples."""
         if n <= 0:
             raise ValueError("network must have at least one node")
-        canon = []
-        seen = set()
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), int(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references a missing node")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if w < MIN_EDGE_WEIGHT:
-                raise ValueError(
-                    f"edge ({u}, {v}) has weight {w} < {MIN_EDGE_WEIGHT}; "
-                    "contacts shorter than 30 minutes are not eligible"
-                )
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canon.append((key[0], key[1], w))
-        canon.sort()
+        seen: set[tuple[int, int]] = set()
+        canon = sorted(_canonical_edge(int(u), int(v), int(w), n, seen) for u, v, w in edges)
         if canon:
             eu = np.array([e[0] for e in canon], dtype=np.int64)
             ev = np.array([e[1] for e in canon], dtype=np.int64)
@@ -300,7 +305,6 @@ def run_seir(
 
     ever_infected = 1
     secondary_from_index = 0
-    escape = 1.0 - params.transmission_rate
     factor = params.symptomatic_contact_factor
     # marks infectious nodes still waiting for their single school window
     window_pending = np.zeros(net.n, dtype=bool)
@@ -326,7 +330,7 @@ def run_seir(
                 if not np.any(sus_mask):
                     continue
                 targets = nbrs[sus_mask]
-                probs = 1.0 - escape ** (factor * wts[sus_mask])
+                probs = transmission_probability(factor * wts[sus_mask], params.transmission_rate)
                 hits = targets[gen.random(targets.size) < probs]
                 if hits.size:
                     state[hits] = _E
@@ -745,19 +749,20 @@ def generate_synthetic_contact_network(
 # --- file formats ---------------------------------------------------------
 
 
-def _integers(*values: str) -> list[int]:
-    return [int(value) for value in values]
-
-
 def read_contact_network(path: str | Path) -> ContactNetwork:
-    """Read a ``u,v,w`` CSV (with header) into a validated network."""
-    edges = [
-        edge for _, edge in read_csv(path, ["u", "v", "w"], _integers, "3 integer fields u,v,w")
-    ]
-    max_node = max((max(u, v) for u, v, _ in edges), default=-1)
-    if max_node < 0:
-        raise ValueError("contact network file has no edges")
-    return ContactNetwork.from_edges(max_node + 1, edges)
+    """Read a ``u,v,w`` CSV (with header) into a validated network. A row
+    that is not an edge of it, or a file without edges, raises InputError
+    ``path:line:``."""
+    seen: set[tuple[int, int]] = set()
+    edges = [edge for _, edge in read_csv(
+        path, ["u", "v", "w"],
+        lambda *fields: _canonical_edge(*map(int, fields), math.inf, seen),
+        f"3 integer fields u,v,w: two distinct nodes >= 0, weight >= {MIN_EDGE_WEIGHT},"
+        " each pair once",
+    )]
+    if not edges:
+        raise InputError(f"{path}:2: expected 3 integer fields u,v,w, got end of file")
+    return ContactNetwork.from_edges(max(v for _, v, _ in edges) + 1, edges)
 
 
 def write_contact_network(path: str | Path, net: ContactNetwork) -> None:

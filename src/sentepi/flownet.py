@@ -166,8 +166,8 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> FlowNetwork:
     """Read an opinionated network back from the two files the writers
     produce. A node row needs non-negative integer counts and the sign
     they give, which must be positive or negative, and an id of its own;
-    an edge needs both ends among the nodes. A bad row raises InputError
-    ``path:line:``."""
+    an edge needs two distinct ends among the nodes and a row of its own.
+    A bad row raises InputError ``path:line:``."""
 
     def node(user: str, *fields: str) -> tuple[str, Tally]:
         *counts, sign = fields
@@ -182,12 +182,17 @@ def read_network(nodes_path: str | Path, edges_path: str | Path) -> FlowNetwork:
         " they give, positive or negative",
     )
 
+    seen: set[tuple[str, str]] = set()
+
     def edge(source: str, target: str) -> tuple[str, str]:
-        if source not in tallies or target not in tallies:
-            raise ValueError(source, target)
-        return source, target
+        pair = source, target
+        if source not in tallies or target not in tallies or source == target or pair in seen:
+            raise ValueError(pair)
+        seen.add(pair)
+        return pair
 
     edges = read_csv(
-        edges_path, _EDGE_HEADER, edge, f"from,to with both ends in {Path(nodes_path).name}"
+        edges_path, _EDGE_HEADER, edge,
+        f"from,to with two distinct ends in {Path(nodes_path).name}, each pair once",
     )
     return FlowNetwork(tallies=tallies, edges=tuple(pair for _, pair in edges))

@@ -11,204 +11,111 @@ from __future__ import annotations
 
 __all__ = ["stem"]
 
-_VOWELS = frozenset("aeiou")
+
+def _form(word: str) -> str:
+    """One 'c' or 'v' per letter; 'y' is a vowel only after a consonant."""
+    form = []
+    prev = "v"
+    for ch in word:
+        prev = "v" if ch in "aeiou" or (ch == "y" and prev == "c") else "c"
+        form.append(prev)
+    return "".join(form)
 
 
-class _Word:
-    """Mutable buffer with the measure/condition predicates the rules use."""
-
-    __slots__ = ("b", "k", "j")
-
-    def __init__(self, word: str):
-        self.b = list(word)
-        self.k = len(word) - 1  # index of last letter
-        self.j = 0  # end of the stem a candidate suffix leaves behind
-
-    def _cons(self, i: int) -> bool:
-        ch = self.b[i]
-        if ch in _VOWELS:
-            return False
-        if ch == "y":
-            return True if i == 0 else not self._cons(i - 1)
-        return True
-
-    def measure(self) -> int:
-        """Number of VC sequences in b[0..j], per the [C](VC)^m[V] form."""
-        i = 0
-        n = 0
-        while True:
-            if i > self.j:
-                return n
-            if not self._cons(i):
-                break
-            i += 1
-        i += 1
-        while True:
-            while True:
-                if i > self.j:
-                    return n
-                if self._cons(i):
-                    break
-                i += 1
-            i += 1
-            n += 1
-            while True:
-                if i > self.j:
-                    return n
-                if not self._cons(i):
-                    break
-                i += 1
-            i += 1
-
-    def vowel_in_stem(self) -> bool:
-        return any(not self._cons(i) for i in range(self.j + 1))
-
-    def double_cons(self, i: int) -> bool:
-        if i < 1:
-            return False
-        return self.b[i] == self.b[i - 1] and self._cons(i)
-
-    def cvc(self, i: int) -> bool:
-        """consonant-vowel-consonant ending at i, last consonant not w/x/y."""
-        if i < 2 or not self._cons(i) or self._cons(i - 1) or not self._cons(i - 2):
-            return False
-        return self.b[i] not in ("w", "x", "y")
-
-    def ends(self, s: str) -> bool:
-        length = len(s)
-        if length > self.k + 1:
-            return False
-        if self.b[self.k - length + 1 : self.k + 1] != list(s):
-            return False
-        self.j = self.k - length
-        return True
-
-    def set_to(self, s: str) -> None:
-        self.b[self.j + 1 :] = list(s)
-        self.k = self.j + len(s)
-
-    def replace_if_m_positive(self, s: str) -> None:
-        if self.measure() > 0:
-            self.set_to(s)
+def _m(stem: str) -> int:
+    """Porter's measure: the m of the form [C](VC)^m[V]."""
+    return _form(stem).count("vc")
 
 
-def _step1ab(w: _Word) -> None:
-    if w.b[w.k] == "s":
-        if w.ends("sses"):
-            w.k -= 2
-        elif w.ends("ies"):
-            w.set_to("i")
-        elif w.b[w.k - 1] != "s":
-            w.k -= 1
-    if w.ends("eed"):
-        if w.measure() > 0:
-            w.k -= 1
-    elif (w.ends("ed") or w.ends("ing")) and w.vowel_in_stem():
-        w.k = w.j
-        if w.ends("at"):
-            w.set_to("ate")
-        elif w.ends("bl"):
-            w.set_to("ble")
-        elif w.ends("iz"):
-            w.set_to("ize")
-        elif w.double_cons(w.k):
-            w.k -= 1
-            if w.b[w.k] in ("l", "s", "z"):
-                w.k += 1
-        elif w.measure() == 1 and w.cvc(w.k):
-            w.set_to("e")
+def _ends_cvc(stem: str) -> bool:
+    """*o: consonant-vowel-consonant at the end, the last not w, x or y."""
+    return _form(stem).endswith("cvc") and stem[-1] not in "wxy"
 
 
-def _step1c(w: _Word) -> None:
-    if w.ends("y") and w.vowel_in_stem():
-        w.b[w.k] = "i"
+def _step1ab(word: str) -> str:
+    if word.endswith(("sses", "ies")):
+        word = word[:-2]
+    elif word.endswith("s") and not word.endswith("ss"):
+        word = word[:-1]
+    if word.endswith("eed"):
+        return word[:-1] if _m(word[:-3]) > 0 else word
+    for suffix in ("ed", "ing"):
+        stem = word[: -len(suffix)]
+        if word.endswith(suffix) and "v" in _form(stem):
+            if stem.endswith(("at", "bl", "iz")):
+                return stem + "e"
+            if len(stem) > 1 and stem[-1] == stem[-2] and _form(stem)[-1] == "c":
+                return stem if stem[-1] in "lsz" else stem[:-1]
+            if _m(stem) == 1 and _ends_cvc(stem):
+                return stem + "e"
+            return stem
+    return word
 
 
+# Porter keys each rule group by one letter (steps 2 and 4: the second
+# to last, step 3: the last) that every suffix of the group contains at
+# that place, so a word can match only one group, and the first match
+# in these flat tables is the rule the lettered dispatch would pick.
 _STEP2_RULES = {
-    "a": (("ational", "ate"), ("tional", "tion")),
-    "c": (("enci", "ence"), ("anci", "ance")),
-    "e": (("izer", "ize"),),
-    "l": (("abli", "able"), ("alli", "al"), ("entli", "ent"), ("eli", "e"),
-          ("ousli", "ous")),
-    "o": (("ization", "ize"), ("ation", "ate"), ("ator", "ate")),
-    "s": (("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-          ("ousness", "ous")),
-    "t": (("aliti", "al"), ("iviti", "ive"), ("biliti", "ble")),
+    "ational": "ate", "tional": "tion",
+    "enci": "ence", "anci": "ance",
+    "izer": "ize",
+    "abli": "able", "alli": "al", "entli": "ent", "eli": "e",
+    "ousli": "ous",
+    "ization": "ize", "ation": "ate", "ator": "ate",
+    "alism": "al", "iveness": "ive", "fulness": "ful",
+    "ousness": "ous",
+    "aliti": "al", "iviti": "ive", "biliti": "ble",
 }
 
 _STEP3_RULES = {
-    "e": (("icate", "ic"), ("ative", ""), ("alize", "al")),
-    "i": (("iciti", "ic"),),
-    "l": (("ical", "ic"), ("ful", "")),
-    "s": (("ness", ""),),
+    "icate": "ic", "ative": "", "alize": "al",
+    "iciti": "ic",
+    "ical": "ic", "ful": "",
+    "ness": "",
 }
 
-_STEP4_SUFFIXES = {
-    "a": ("al",),
-    "c": ("ance", "ence"),
-    "e": ("er",),
-    "i": ("ic",),
-    "l": ("able", "ible"),
-    "n": ("ant", "ement", "ment", "ent"),
-    "s": ("ism",),
-    "t": ("ate", "iti"),
-    "u": ("ous",),
-    "v": ("ive",),
-    "z": ("ize",),
-}
+_STEP4_RULES = dict.fromkeys((
+    "al",
+    "ance", "ence",
+    "er",
+    "ic",
+    "able", "ible",
+    "ant", "ement", "ment", "ent",
+    "ion", "ou",
+    "ism",
+    "ate", "iti",
+    "ous",
+    "ive",
+    "ize",
+), "")
 
 
-def _apply_rule_table(w: _Word, rules, key_index: int) -> None:
-    if w.k + key_index < 0:
-        return
-    rule_set = rules.get(w.b[w.k + key_index])
-    if rule_set is None:
-        return
-    for suffix, replacement in rule_set:
-        if w.ends(suffix):
-            w.replace_if_m_positive(replacement)
-            return
+def _replace(word: str, rules: dict[str, str], min_m: int) -> str:
+    """Apply the first rule whose suffix ends the word, if the stem's m > min_m."""
+    if not word.endswith(tuple(rules)):  # one test in C rejects most words
+        return word
+    suffix = next(filter(word.endswith, rules))
+    stem = word[: -len(suffix)]
+    return stem + rules[suffix] if _m(stem) > min_m else word
 
 
-def _step4(w: _Word) -> None:
-    key = w.b[w.k - 1] if w.k >= 1 else ""
-    if key == "o":
-        # 'ion' only drops after s or t; 'ou' always qualifies.
-        if w.ends("ion") and w.j >= 0 and w.b[w.j] in ("s", "t"):
-            pass
-        elif w.ends("ou"):
-            pass
-        else:
-            return
-    else:
-        for suffix in _STEP4_SUFFIXES.get(key, ()):
-            if w.ends(suffix):
-                break
-        else:
-            return
-    if w.measure() > 1:
-        w.k = w.j
-
-
-def _step5(w: _Word) -> None:
-    w.j = w.k
-    if w.b[w.k] == "e":
-        m = w.measure()
-        if m > 1 or (m == 1 and not w.cvc(w.k - 1)):
-            w.k -= 1
-    if w.b[w.k] == "l" and w.double_cons(w.k) and w.measure() > 1:
-        w.k -= 1
+def _step5(word: str) -> str:
+    m = _m(word)  # a final e is a vowel, so dropping it keeps m
+    if word.endswith("e") and (m > 1 or (m == 1 and not _ends_cvc(word[:-1]))):
+        word = word[:-1]
+    return word[:-1] if word.endswith("ll") and m > 1 else word
 
 
 def stem(word: str) -> str:
     """Stem a single lowercase word."""
     if len(word) <= 1:
         return word
-    w = _Word(word)
-    _step1ab(w)
-    _step1c(w)
-    _apply_rule_table(w, _STEP2_RULES, -1)
-    _apply_rule_table(w, _STEP3_RULES, 0)
-    _step4(w)
-    _step5(w)
-    return "".join(w.b[: w.k + 1])
+    word = _step1ab(word)
+    if word.endswith("y") and "v" in _form(word[:-1]):  # step 1c
+        word = word[:-1] + "i"
+    word = _replace(word, _STEP2_RULES, 0)
+    word = _replace(word, _STEP3_RULES, 0)
+    if not word.endswith("ion") or word[:-3].endswith(("s", "t")):  # 'ion' only after s, t
+        word = _replace(word, _STEP4_RULES, 1)
+    return _step5(word)

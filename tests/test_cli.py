@@ -246,6 +246,22 @@ class TestErrorHandling:
         assert result.exit_code == 2
         assert "not found" in result.output
 
+    def test_directory_for_an_input_file_is_usage_error(self, tmp_path):
+        data = write_pipeline_fixture(tmp_path / "d", seed=7, n_users=10, n_tweets=40)
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"seed = 1\nout = {tmp_path / 'o'}\ntweets = {tmp_path / 'd'}\n"
+            f"labels = {data['labels']}\n"
+        )
+        result = _run(["train", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"tweets is not a file: {tmp_path / 'd'}" in result.output
+
+    def test_directory_for_the_config_file_is_usage_error(self, tmp_path):
+        result = _run(["train", "--config", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"config is not a file: {tmp_path}" in result.output
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "c.conf"
         config.write_text("seed = 1\nbogus_key = 2\n")
@@ -529,6 +545,17 @@ class TestStageProtocol:
         assert result.exit_code == 2
         assert f"{name}:{line}: expected " in result.output
 
+    @pytest.mark.parametrize("repeat", [False, True], ids=["self-loop", "repeated-edge"])
+    def test_opinion_edge_breaking_the_network_invariant_is_usage_error(self, run_copy, repeat):
+        path = run_copy.out / "opinion_edges.csv"
+        rows = path.read_text().splitlines()
+        source = rows[1].split(",")[0]
+        with open(path, "a") as fh:
+            fh.write((rows[1] if repeat else f"{source},{source}") + "\n")
+        result = run_copy("homophily", "--force")
+        assert result.exit_code == 2
+        assert f"opinion_edges.csv:{len(rows) + 1}: expected " in result.output
+
     @pytest.mark.parametrize(
         "name, key, stage",
         [("labels.csv", "labels", "train"), ("coverage.csv", "coverage_table", "timeseries"),
@@ -606,7 +633,10 @@ class TestStageProtocol:
         assert result.exit_code == 2
         assert "stale upstream" in result.output
 
-    @pytest.mark.parametrize("row, line", [("1,2", 3), ("1,x,120", 3), ("0,1,120,7", 3)])
+    @pytest.mark.parametrize("row, line", [
+        ("1,2", 3), ("1,x,120", 3), ("0,1,120,7", 3),
+        ("1,2,50", 3), ("2,2,120", 3), ("1,0,120", 3), ("-1,2,120", 3),
+    ])
     def test_malformed_network_row_is_usage_error_with_location(self, tmp_path, row, line):
         net = tmp_path / "net.csv"
         net.write_text(f"u,v,w\n0,1,120\n{row}\n")
@@ -618,6 +648,18 @@ class TestStageProtocol:
         result = _run(["sweep", "--config", str(config)])
         assert result.exit_code == 2
         assert f"net.csv:{line}:" in result.output
+
+    def test_header_only_network_is_usage_error_with_location(self, tmp_path):
+        net = tmp_path / "net.csv"
+        net.write_text("u,v,w\n")
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"seed = 1\nout = {tmp_path / 'o'}\ncontact_network = {net}\n"
+            "r_grid = 0\nruns_per_r = 1\n"
+        )
+        result = _run(["sweep", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "net.csv:2: expected 3 integer fields u,v,w, got end of file" in result.output
 
 
 class TestSeedOverride:

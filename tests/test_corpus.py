@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
+import random
 from datetime import datetime, timezone
+from string import ascii_lowercase
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +52,12 @@ STEM_VECTORS = {
     "vaccinated": "vaccin", "vaccine": "vaccin", "vaccination": "vaccin",
 }
 
+# Every suffix a rule of the algorithm names, steps 1 to 5.
+RULE_SUFFIXES = """s sses ies ss eed ed ing at bl iz y ational tional enci anci izer abli alli
+    entli eli ousli ization ation ator alism iveness fulness ousness aliti iviti biliti icate
+    ative alize iciti ical ful ness al ance ence er ic able ible ant ement ment ent ion sion tion
+    ou ism ate iti ous ive ize e ll""".split()
+
 
 class TestStemmer:
     @pytest.mark.parametrize("word,expected", sorted(STEM_VECTORS.items()))
@@ -58,6 +67,21 @@ class TestStemmer:
     def test_short_words_untouched(self):
         assert stem("a") == "a"
         assert stem("") == ""
+
+    def test_every_stem_is_pinned(self):
+        # 50,000 words of 0-4 random letters plus 1-3 suffixes that the
+        # rules name; the digest was taken from the character-buffer port
+        # of Porter's C code that the string form replaced.
+        rng = random.Random(1980)
+        words = [
+            "".join(rng.choices(ascii_lowercase, k=rng.randint(0, 4)))
+            + "".join(rng.choices(RULE_SUFFIXES, k=rng.randint(1, 3)))
+            for _ in range(50_000)
+        ]
+        listing = "\n".join(f"{w}\t{stem(w)}" for w in words)
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "d30c7747a66bc2a8fd97b36a0a2d9fabb617c4180e681a99ae9caf19069ae467"
+        )
 
 
 def _tweet_line(**overrides):
@@ -179,6 +203,11 @@ class TestTokenize:
             "h1n1",
             "readi",
         )
+
+    def test_stems_to_the_real_fixed_point(self):
+        # eleven stem calls: jtoateeedatorismoueedalizeeed -> ... -> jtoat
+        assert tokenize("jtoateeedatorismoueedalizeeed").tokens == ("jtoat",)
+        assert tokenize("jtoateeed").tokens == ("jtoat",)
 
     def test_counts_match_multiplicity(self):
         tv = tokenize("shot shot shot!")

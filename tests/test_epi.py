@@ -62,6 +62,13 @@ class TestTransmissionProbability:
         with pytest.raises(ValueError):
             transmission_probability(-1)
 
+    def test_array_of_weights_is_elementwise(self):
+        weights = np.array([0.0, 22.5, 90.0, 180.0])
+        expected = [transmission_probability(float(w)) for w in weights]
+        assert transmission_probability(weights).tolist() == expected
+        with pytest.raises(ValueError):
+            transmission_probability(np.array([90.0, -1.0]))
+
 
 class TestIncubation:
     def test_minimum_one_step(self):
@@ -127,14 +134,25 @@ class TestContactNetwork:
         [
             ("u,v,w\n0,1,120\n1,2\n", read_contact_network),
             ("u,v,w\n0,1,120\n1,x,120\n", read_contact_network),
+            ("u,v,w\n0,1,120\n1,2,50\n", read_contact_network),
+            ("u,v,w\n0,1,120\n2,2,120\n", read_contact_network),
+            ("u,v,w\n0,1,120\n1,0,120\n", read_contact_network),
+            ("u,v,w\n0,1,120\n-1,2,120\n", read_contact_network),
         ],
-        ids=["network-short-row", "network-non-integer"],
+        ids=["network-short-row", "network-non-integer", "network-short-contact",
+             "network-self-loop", "network-repeated-pair", "network-negative-node"],
     )
     def test_malformed_row_reports_its_line(self, tmp_path, text, read):
         path = tmp_path / "in.csv"
         path.write_text(text)
         with pytest.raises(InputError, match=r"in\.csv:3: expected [23] integer fields"):
             read(path)
+
+    def test_header_only_network_reports_the_missing_row(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("u,v,w\n")
+        with pytest.raises(InputError, match=r"in\.csv:2: expected 3 integer fields u,v,w, got end"):
+            read_contact_network(path)
 
 
 class TestRunSeir:
