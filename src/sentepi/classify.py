@@ -80,8 +80,14 @@ class _LinearClassifier:
     Subclasses hold W column-major so that ``W.T`` is C-contiguous: the
     sparse product would otherwise copy W on every call, which dominates
     scoring a single document. ``_COEFFICIENTS`` names their W (K, V)
-    and b (K,) fields.
+    and b (K,) fields, which must be finite.
     """
+
+    def __post_init__(self):
+        w, _ = self._COEFFICIENTS
+        setattr(self, w, np.asfortranarray(getattr(self, w)))
+        if not all(np.isfinite(c).all() for c in self._coefficients()):
+            raise ValueError("non-finite model parameters")
 
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         w, b = self._COEFFICIENTS
@@ -114,7 +120,7 @@ class NaiveBayesModel(_LinearClassifier):
     smoothing: float
 
     def __post_init__(self):
-        self.log_cond = np.asfortranarray(self.log_cond)
+        super().__post_init__()
         priors = np.exp(self.log_priors)
         if abs(priors.sum() - 1.0) > 1e-9:
             raise ValueError("class priors do not sum to 1")
@@ -137,11 +143,6 @@ class MaxEntModel(_LinearClassifier):
     l2: float
     converged: bool
     n_iter: int
-
-    def __post_init__(self):
-        self.weights = np.asfortranarray(self.weights)
-        if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.bias)):
-            raise ValueError("non-finite model parameters")
 
     def predict_proba(self, tv: TokenVector) -> np.ndarray:
         s = self._scores(featurize([tv], self.vocabulary))[0]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass, fields
@@ -96,25 +97,29 @@ class _Reads:
         return getattr(self._config, key)
 
 
+def _finite(value: object) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
-    if ":" in text:
-        try:
-            start, stop, step = (float(p) for p in text.split(":"))
-        except ValueError:
-            raise click.UsageError(f"bad r_grid value {text!r}") from None
-        if step <= 0:
-            raise click.UsageError("r_grid step must be positive")
-        grid = []
-        value = start
-        while value <= stop + 1e-12:
-            grid.append(round(value, 10))
-            value += step
-        return tuple(grid)
     try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
+        if ":" not in text:
+            return tuple(_finite(p) for p in text.split(",") if p.strip())
+        start, stop, step = (_finite(p) for p in text.split(":"))
     except ValueError:
-        raise click.UsageError(f"bad r_grid value {text!r}") from None
+        raise click.UsageError(f"bad value for r_grid: {text!r}") from None
+    if step <= 0:
+        raise click.UsageError("r_grid step must be positive")
+    grid = []
+    value = start
+    while value <= stop + 1e-12:
+        grid.append(round(value, 10))
+        value += step
+    return tuple(grid)
 
 
 def _reader(hint) -> Callable[[object], object]:
@@ -125,7 +130,7 @@ def _reader(hint) -> Callable[[object], object]:
         return lambda value: date.fromisoformat(str(value))
     if get_origin(hint) is tuple:  # r_grid
         return lambda value: _parse_grid(str(value))
-    return hint  # Path, int, float
+    return _finite if hint is float else hint  # Path, int
 
 
 _READERS = {key: _reader(hint) for key, hint in get_type_hints(RunConfig).items()}

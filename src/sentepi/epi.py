@@ -179,24 +179,13 @@ class ContactNetwork:
             raise ValueError("network must have at least one node")
         seen: set[tuple[int, int]] = set()
         canon = sorted(_canonical_edge(int(u), int(v), int(w), n, seen) for u, v, w in edges)
-        if canon:
-            eu = np.array([e[0] for e in canon], dtype=np.int64)
-            ev = np.array([e[1] for e in canon], dtype=np.int64)
-            ew = np.array([e[2] for e in canon], dtype=np.int64)
-        else:
-            eu = ev = ew = np.zeros(0, dtype=np.int64)
-
-        heads = np.concatenate([eu, ev])
-        tails = np.concatenate([ev, eu])
-        wts = np.concatenate([ew, ew])
-        order = np.argsort(heads, kind="stable")
-        heads, tails, wts = heads[order], tails[order], wts[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, heads + 1, 1)
-        indptr = np.cumsum(indptr)
+        eu, ev, ew = np.array(canon, dtype=np.int64).reshape(-1, 3).T.copy()
+        degrees = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+        order = np.argsort(np.concatenate([eu, ev]), kind="stable")
         return cls(
             n=n, edge_u=eu, edge_v=ev, edge_w=ew,
-            indptr=indptr, nbr=tails, nbr_w=wts,
+            indptr=np.concatenate([[0], np.cumsum(degrees)]),
+            nbr=np.concatenate([ev, eu])[order], nbr_w=np.concatenate([ew, ew])[order],
         )
 
     @property
@@ -295,13 +284,12 @@ def run_seir(
         raise ValueError("no susceptible node to seed the outbreak")
 
     index = int(susceptible[gen.integers(susceptible.size)])
-    incubation_left = np.zeros(net.n, dtype=np.int64)
-    infectious_steps = np.zeros(net.n, dtype=np.int64)
+    clock = np.zeros(net.n, dtype=np.int64)
     state[index] = _E
     # The index is exposed during step 0, so like any node exposed during
-    # a step its counter must not tick until the following step; the +1
+    # a step its clock must not tick until the following step; the +1
     # cancels the decrement the progression phase applies at step 0.
-    incubation_left[index] = _incubation_steps(gen.random(size=1), params)[0] + 1
+    clock[index] = _incubation_steps(gen.random(size=1), params)[0] + 1
 
     ever_infected = 1
     secondary_from_index = 0
@@ -312,12 +300,13 @@ def run_seir(
 
     step = 0
     while True:
-        # incubation ticks every step; nodes reaching 0 turn infectious now
+        # an exposed node's clock counts incubation steps left and ticks
+        # every step; at 0 the node turns infectious now, and from then on
+        # its clock counts steps infectious
         exposed = np.flatnonzero(state == _E)
-        incubation_left[exposed] -= 1
-        fresh = exposed[incubation_left[exposed] == 0]
+        clock[exposed] -= 1
+        fresh = exposed[clock[exposed] == 0]
         state[fresh] = _I
-        infectious_steps[fresh] = 0
         window_pending[fresh] = True
 
         if step % _STEPS_PER_WEEK in _WEEKDAY_DAY_STEPS:
@@ -334,9 +323,7 @@ def run_seir(
                 hits = targets[gen.random(targets.size) < probs]
                 if hits.size:
                     state[hits] = _E
-                    incubation_left[hits] = _incubation_steps(
-                        gen.random(size=hits.size), params
-                    )
+                    clock[hits] = _incubation_steps(gen.random(size=hits.size), params)
                     ever_infected += int(hits.size)
                     if int(u) == index:
                         secondary_from_index += int(hits.size)
@@ -345,8 +332,8 @@ def run_seir(
         # recovery hazard advances every step, nights and weekends included
         infectious = np.flatnonzero(state == _I)
         if infectious.size:
-            infectious_steps[infectious] += 1
-            t = infectious_steps[infectious]
+            clock[infectious] += 1
+            t = clock[infectious]
             hazard = 1.0 - params.recovery_base**t
             recovers = (gen.random(infectious.size) < hazard) | (
                 t >= params.max_infectious_steps
@@ -355,14 +342,7 @@ def run_seir(
 
         step += 1
         if record_trace:
-            trace.append(
-                (
-                    int((state == _S).sum()),
-                    int((state == _E).sum()),
-                    int((state == _I).sum()),
-                    int((state == _R).sum()),
-                )
-            )
+            trace.append(tuple(np.bincount(state, minlength=4).tolist()))
         if not np.any(state == _E) and not np.any(state == _I):
             break
         if _index_only and state[index] != _E and not (
@@ -421,14 +401,16 @@ def estimate_r0(
     )
 
 
-def _two_type_r(svv: int, suu: int, m: int, deg_v: int, two_m: int) -> float:
-    """Assortativity over an undirected edge set with two node types.
+def _two_type_r(svv: int, suu: int, m: int) -> float:
+    """Assortativity of m undirected edges, svv joining two vaccinated
+    nodes and suu two unvaccinated ones.
 
     Every edge is counted once in each direction, so the mixing matrix
-    is symmetric. ``deg_v`` is the summed degree of vaccinated nodes.
-    Returns 1.0 in the degenerate single-type case.
+    is symmetric. The m - svv - suu mixed edges make the vaccinated
+    nodes' summed degree m + svv - suu. Returns 1.0 in the degenerate
+    single-type case.
     """
-    a_v = deg_v / two_m
+    a_v = (m + svv - suu) / (2 * m)
     if a_v <= 0.0 or a_v >= 1.0:
         return 1.0
     sab = a_v * a_v + (1.0 - a_v) * (1.0 - a_v)
@@ -440,16 +422,14 @@ def vaccination_assortativity(net: ContactNetwork, vac: VaccinationAssignment) -
     """Assortativity of vaccination status over the eligible edge set."""
     if net.m == 0:
         raise ValueError("assortativity needs at least one edge")
-    svv, suu, deg_v = _mixing_counts(net, vac.vaccinated)
-    return _two_type_r(svv, suu, net.m, deg_v, 2 * net.m)
+    return _two_type_r(*_mixing_counts(net, vac.vaccinated), net.m)
 
 
-def _mixing_counts(net: ContactNetwork, vacc: np.ndarray) -> tuple[int, int, int]:
-    """Vaccinated-vaccinated and unvaccinated-unvaccinated edge counts,
-    and the summed degree of vaccinated nodes."""
+def _mixing_counts(net: ContactNetwork, vacc: np.ndarray) -> tuple[int, int]:
+    """Vaccinated-vaccinated and unvaccinated-unvaccinated edge counts."""
     uu = vacc[net.edge_u]
     vv = vacc[net.edge_v]
-    return int((uu & vv).sum()), int((~uu & ~vv).sum()), int(net.degrees[vacc].sum())
+    return int((uu & vv).sum()), int((~uu & ~vv).sum())
 
 
 def redistribute(
@@ -474,89 +454,52 @@ def redistribute(
     """
     if net.m == 0:
         raise ValueError("cannot redistribute on an edgeless network")
-    vacc = np.asarray(vac.vaccinated, dtype=bool).copy()
-    n_vacc = int(vacc.sum())
-    if n_vacc == 0 or n_vacc == net.n:
+    if not 0 < vac.n_vaccinated < net.n:
         raise ValueError("coverage must be strictly between 0 and 1")
+    vacc = vac.vaccinated.copy()
 
-    svv, suu, deg_v = _mixing_counts(net, vacc)
+    svv, suu = _mixing_counts(net, vacc)
     m = net.m
-    two_m = 2 * m
-    r = _two_type_r(svv, suu, m, deg_v, two_m)
+    r = _two_type_r(svv, suu, m)
     if r > target_r:
         return VaccinationAssignment(vacc)
 
     status = vacc.tolist()
+    is_vacc = status.__getitem__
     deg = net.degrees.tolist()
     neighbors = net.neighbor_lists
     vacc_nodes = [i for i in range(net.n) if status[i]]
     unvacc_nodes = [i for i in range(net.n) if not status[i]]
-    position = [0] * net.n
-    for idx, node in enumerate(vacc_nodes):
-        position[node] = idx
-    for idx, node in enumerate(unvacc_nodes):
-        position[node] = idx
-
     gen = stream.generator()
-    n_v, n_u = len(vacc_nodes), len(unvacc_nodes)
-    block = 512
-    draws_v: list[int] = []
-    draws_u: list[int] = []
-    cursor = block  # force initial refill
     stall = 0
-
     while True:
-        if cursor >= block:
-            draws_v = gen.integers(0, n_v, size=block).tolist()
-            draws_u = gen.integers(0, n_u, size=block).tolist()
-            cursor = 0
-        x = vacc_nodes[draws_v[cursor]]
-        y = unvacc_nodes[draws_u[cursor]]
-        cursor += 1
-
-        dsvv = dsuu = 0
-        for nb in neighbors[x]:  # x: vaccinated -> unvaccinated
-            if nb == y:
-                continue
-            if status[nb]:
-                dsvv -= 1
+        for i, j in zip(
+            gen.integers(0, len(vacc_nodes), size=512).tolist(),
+            gen.integers(0, len(unvacc_nodes), size=512).tolist(),
+        ):
+            x, y = vacc_nodes[i], unvacc_nodes[j]
+            # x turns unvaccinated and y vaccinated; an x-y edge stays mixed,
+            # so it leaves the count of vaccinated neighbours y gains
+            nx, ny = neighbors[x], neighbors[y]
+            dsvv = sum(map(is_vacc, ny)) - (y in nx) - sum(map(is_vacc, nx))
+            new_svv, new_suu = svv + dsvv, suu + dsvv + deg[x] - deg[y]
+            new_r = _two_type_r(new_svv, new_suu, m)
+            if new_r > r:
+                svv, suu, r = new_svv, new_suu, new_r
+                status[x], status[y] = False, True
+                vacc_nodes[i], unvacc_nodes[j] = y, x
+                stall = 0
+                if r > target_r:
+                    return VaccinationAssignment(np.array(status, dtype=bool))
             else:
-                dsuu += 1
-        for nb in neighbors[y]:  # y: unvaccinated -> vaccinated
-            if nb == x:
-                continue
-            if status[nb]:
-                dsvv += 1
-            else:
-                dsuu -= 1
-        new_svv = svv + dsvv
-        new_suu = suu + dsuu
-        new_deg_v = deg_v - deg[x] + deg[y]
-        new_r = _two_type_r(new_svv, new_suu, m, new_deg_v, two_m)
-
-        if new_r > r:
-            svv, suu, deg_v, r = new_svv, new_suu, new_deg_v, new_r
-            status[x] = False
-            status[y] = True
-            px, py = position[x], position[y]
-            vacc_nodes[px] = y
-            unvacc_nodes[py] = x
-            position[y] = px
-            position[x] = py
-            stall = 0
-            if r > target_r:
-                break
-        else:
-            stall += 1
-            if stall >= max_stall:
-                raise StallError(
-                    f"no accepted swap in {max_stall} trials; "
-                    f"best r {r:.6f} short of target {target_r:.6f}",
-                    best_r=r,
-                    target_r=target_r,
-                )
-
-    return VaccinationAssignment(np.array(status, dtype=bool))
+                stall += 1
+                if stall >= max_stall:
+                    raise StallError(
+                        f"no accepted swap in {max_stall} trials; "
+                        f"best r {r:.6f} short of target {target_r:.6f}",
+                        best_r=r,
+                        target_r=target_r,
+                    )
 
 
 @dataclass(frozen=True)
@@ -729,14 +672,7 @@ def generate_synthetic_contact_network(
     relabel = -np.ones(n_nodes, dtype=np.int64)
     kept_nodes = np.flatnonzero(keep)
     relabel[kept_nodes] = np.arange(kept_nodes.size)
-    edge_keep = keep[u] & keep[v]
-    edges = list(
-        zip(
-            relabel[u[edge_keep]].tolist(),
-            relabel[v[edge_keep]].tolist(),
-            w[edge_keep].tolist(),
-        )
-    )
+    edges = np.column_stack([relabel[u], relabel[v], w])[keep[u] & keep[v]].tolist()
     if kept_nodes.size < n_nodes:
         logger.info(
             "kept largest component: %d of %d requested nodes",

@@ -194,6 +194,10 @@ def in_fraction(
     return dict(zip(kept, fractions(codes)))
 
 
+# A replicate's Wilcoxon p-value below this counts as significant.
+_SIGNIFICANCE = 0.05
+
+
 @dataclass(frozen=True)
 class InFractionTest:
     """Summary of the paired same-sentiment in-fraction comparison."""
@@ -209,7 +213,6 @@ def in_fraction_test(
     edges: Sequence[tuple[Hashable, Hashable]],
     iterations: int,
     stream: RandomStream,
-    alpha: float = 0.05,
 ) -> InFractionTest:
     """Compare observed in-fractions against label-randomized replicates.
 
@@ -237,7 +240,7 @@ def in_fraction_test(
     return InFractionTest(
         original_mean=float(original.mean()),
         p_values=p_values,
-        fraction_significant=float((p_values < alpha).mean()),
+        fraction_significant=float((p_values < _SIGNIFICANCE).mean()),
         replicate_means=replicate_means,
     )
 

@@ -38,6 +38,9 @@ _FISHER_EXACT_LIMIT = 10_000
 # Exact Wilcoxon enumeration up to this many nonzero differences.
 _WILCOXON_EXACT_LIMIT = 20
 
+# The standard normal quantile of 0.975: Wilson intervals are 95%.
+_Z_95 = 1.959963984540054
+
 
 @dataclass(frozen=True)
 class RandomStream:
@@ -284,16 +287,14 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return (ends - (counts - 1) / 2)[inverse]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion.
-
-    Default z corresponds to a 95% interval.
-    """
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score confidence interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
+    z = _Z_95
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom

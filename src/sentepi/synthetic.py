@@ -26,6 +26,9 @@ __all__ = [
     "write_pipeline_fixture",
 ]
 
+# Share of negative nodes in a synthetic opinionated network.
+_P_NEGATIVE = 0.4
+
 _LABEL_PREFIX = {
     SentimentLabel.POSITIVE: "pos",
     SentimentLabel.NEGATIVE: "neg",
@@ -82,22 +85,22 @@ def synthetic_opinionated_network(
     n_edges: int,
     stream: RandomStream,
     homophily: float = 0.0,
-    p_negative: float = 0.4,
 ) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """Directed network with node signs and optional planted homophily.
 
-    With probability ``homophily`` an edge's target is forced to share
-    the source's sign; otherwise targets are uniform. Returns (signs,
-    edges) with signs in {+1, -1}.
+    Each node is negative with probability ``_P_NEGATIVE``. With probability
+    ``homophily`` an edge's target is forced to share the source's sign;
+    otherwise targets are uniform. Returns (signs, edges) with signs in
+    {+1, -1}.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     if n_edges > n_nodes * (n_nodes - 1):
         raise ValueError("more edges requested than the graph can hold")
     gen = stream.generator()
-    signs_arr = np.where(gen.random(n_nodes) < p_negative, -1, 1)
+    signs_arr = np.where(gen.random(n_nodes) < _P_NEGATIVE, -1, 1)
     if np.unique(signs_arr).size < 2:
-        raise ValueError("one of the sign classes is empty; adjust p_negative")
+        raise ValueError("one of the sign classes is empty; use more nodes or another stream")
     edges = _homophilous_edges(gen, signs_arr, n_edges, homophily)
     signs = {i: int(signs_arr[i]) for i in range(n_nodes)}
     return signs, sorted(edges)
@@ -140,6 +143,7 @@ def default_contact_network() -> ContactNetwork:
 # --- end-to-end pipeline fixture -------------------------------------------
 
 _REGIONS = [f"R{i:02d}" for i in range(1, 11)]
+_SOCIAL_EDGES = 900  # fewer when the users cannot hold that many pairs
 
 
 def write_pipeline_fixture(
@@ -148,7 +152,6 @@ def write_pipeline_fixture(
     n_users: int = 120,
     n_tweets: int = 1500,
     labeled_fraction: float = 0.7,
-    n_social_edges: int = 900,
 ) -> dict[str, Path]:
     """Write a coherent input-file set for the full pipeline.
 
@@ -216,7 +219,7 @@ def write_pipeline_fixture(
 
     # Social edges with homophily on lean; each edge lands in the
     # followers file, the friends file, or both, exercising both rules.
-    n_social_edges = min(n_social_edges, n_users * (n_users - 1) // 2)
+    n_social_edges = min(_SOCIAL_EDGES, n_users * (n_users - 1) // 2)
     edges = _homophilous_edges(gen, user_lean, n_social_edges, homophily=0.7)
 
     followers: dict[str, list[str]] = {}

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from itertools import product
 
@@ -49,6 +50,12 @@ class TestNaiveBayes:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             train_naive_bayes([(tv("good"), POS), (tv("fine"), POS)])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_infinite_smoothing_rejected(self):
+        # every log_cond would be NaN, which no JSON model file can hold
+        with pytest.raises(ValueError, match="non-finite model parameters"):
+            train_naive_bayes(separable_docs(), smoothing=math.inf)
 
     def test_unseen_token_ties_break_by_label_order(self):
         docs = []

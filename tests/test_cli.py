@@ -16,6 +16,13 @@ from sentepi.cli import RunConfig, _parse_grid, load_config, main
 from sentepi.synthetic import default_contact_network, write_pipeline_fixture
 
 
+# a float that is not finite is not a value of any float key, whatever its range
+_NON_FINITE = (
+    "nb_smoothing = inf", "maxent_tol = inf", "maxent_l2 = nan", "coverage = nan",
+    "r_grid = nan", "r_grid = 0,inf", "r_grid = 0:inf:0.005",
+)
+
+
 class TestConfigParsing:
     def test_grid_comma_form(self):
         assert _parse_grid("0, 0.075, 0.145") == (0.0, 0.075, 0.145)
@@ -403,7 +410,7 @@ class TestErrorHandling:
             "in_fraction_iterations = -1", "runs_per_r = 0",
             "coverage = 0", "coverage = 1", "max_stall = 0", "r_grid =", "r_grid = 0.1,0.05",
             "nb_smoothing = 0", "maxent_l2 = -5", "maxent_tol = 0", "maxent_max_iter = 0",
-            "min_community_fraction = 2",
+            "min_community_fraction = 2", *_NON_FINITE,
         ],
     )
     def test_out_of_range_value_is_usage_error_naming_the_key(self, tmp_path, setting):
@@ -411,7 +418,11 @@ class TestErrorHandling:
         config.write_text(f"seed = 1\nout = {tmp_path / 'o'}\n{setting}\n")
         result = _run(["train", "--config", str(config)])
         assert result.exit_code == 2
-        assert f"{setting.split(' =')[0]} must be" in result.output
+        key = setting.split(" =")[0]
+        if setting in _NON_FINITE:
+            assert f"bad value for {key}" in result.output
+        else:
+            assert f"{key} must be" in result.output
 
     def test_sweep_without_gen_net_manifest_is_usage_error(self, tmp_path):
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from typing import NamedTuple
 
@@ -458,6 +459,39 @@ class TestSweep:
         net = _net(4, [(0, 1, 90), (1, 2, 90), (2, 3, 90)])
         with pytest.raises(StallError, match="grid point"):
             sweep(net, 0.5, [0.99], 3, derive_stream(44), max_stall=300)
+
+
+class TestPinnedOutputs:
+    """sha256 of kernel outputs: a change to the swap sequence, or to the
+    size or place of any random draw, changes a digest."""
+
+    def test_redistribute_swap_sequence(self):
+        net = default_contact_network()
+        digest = hashlib.sha256()
+        for gi, target in enumerate((0.0, 0.075, 0.145)):
+            for j in range(20):
+                vac = random_assignment(net, 0.624, derive_stream(50, gi, j, 0))
+                out = redistribute(net, vac, target, derive_stream(50, gi, j, 1))
+                digest.update(out.vaccinated.tobytes())
+        assert digest.hexdigest() == (
+            "f0b60aa7910a1771cbcdff7dfc2f68037fb772ca695996d47e26162e18bc6636"
+        )
+
+    def test_sweep_report(self):
+        net = default_contact_network()
+        report = sweep(net, 0.624, [0.0, 0.075, 0.145], 20, derive_stream(51))
+        assert hashlib.sha256(repr(report).encode()).hexdigest() == (
+            "afd376bca150704e05e251b876190720e627898d8d3c3178e626aa2e6403e3eb"
+        )
+
+    def test_full_run_trace(self):
+        # the 92-step run of TestEstimateR0.test_full_run_and_estimate_keep_their_values
+        net = default_contact_network()
+        result = run_seir(net, _no_vaccine(net.n), stream=derive_stream(4), record_trace=True)
+        assert len(result.trace) == 92
+        assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == (
+            "a368fae5cba80961fdd877bdac2ebe7ec4a4a1219184c46437ef9f1885b4e977"
+        )
 
 
 class TestGenerator:

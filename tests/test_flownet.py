@@ -173,6 +173,12 @@ class TestReadNetwork:
         net, nodes, edges = self._write(tmp_path)
         assert read_network(nodes, edges) == net
 
+    def test_edge_rows_out_of_order_are_rejected_with_their_line(self, tmp_path):
+        _, nodes, edges = self._write(tmp_path)
+        edges.write_text("from,to\nC,A\nA,B\n")
+        with pytest.raises(InputError, match=r"opinion_edges\.csv:3: expected from,to"):
+            read_network(nodes, edges)
+
     @pytest.mark.parametrize(
         "row", ["D,x,0,0,positive", "D,1,0,0,negative", "D,1,1,0,none", "D,0,0,1,none",
                 "D,-1,-2,0,positive", "D,1,0,0,yes", "D,1,0,0"],
