@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence, get_type_hints
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 2
+
+# Curvature pairs the MaxEnt L-BFGS keeps.
+_MEMORY = 5
 
 LabeledDoc = tuple[TokenVector, SentimentLabel]
 
@@ -270,50 +274,73 @@ def train_maxent(
     max_iter: int = 1000,
     tol: float = 1e-6,
 ) -> MaxEntModel:
-    """Fit by full-batch gradient ascent with backtracking line search.
+    """Fit by limited-memory BFGS (Nocedal 1980; Liu & Nocedal 1989).
 
+    The two-loop recursion keeps the last ``_MEMORY`` curvature pairs,
+    each only if its ``s·y`` is positive, and scales the first step by
+    ``1 / max|g|``; every step then passes a backtracking Armijo test.
     Converged when the gradient max-norm drops below ``tol``; otherwise
     stops at ``max_iter`` and logs that the cap was hit.
     """
-    if l2 < 0:
-        raise ValueError("l2 must be non-negative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(l2) and l2 >= 0):
+        raise ValueError(f"l2 must be finite and non-negative, got {l2!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     labels, vocabulary, X, y = _training_set(docs)
     k, v = len(labels), len(vocabulary)
 
-    weights = np.zeros((k, v))
-    bias = np.zeros(k)
-    step = 1.0
+    def evaluate(theta):  # theta is the weights, row by row, then the bias
+        obj, grad_w, grad_b = maxent_objective(
+            theta[: k * v].reshape(k, v), theta[k * v :], X, y, l2
+        )
+        return obj, np.concatenate([grad_w.ravel(), grad_b])
+
+    theta = np.zeros(k * v + k)
+    pairs = deque(maxlen=_MEMORY)  # (s, y, 1 / s·y), oldest first
     converged = False
     n_iter = 0
-    obj, grad_w, grad_b = maxent_objective(weights, bias, X, y, l2)
+    obj, grad = evaluate(theta)
     for it in range(1, max_iter + 1):
         n_iter = it
         if not math.isfinite(obj):
             raise ArithmeticError(f"non-finite objective at iteration {it}")
-        grad_norm = max(
-            float(np.abs(grad_w).max(initial=0.0)), float(np.abs(grad_b).max(initial=0.0))
-        )
+        grad_norm = float(np.abs(grad).max())
         if grad_norm < tol:
             converged = True
             n_iter = it - 1
             break
-        sq = float((grad_w**2).sum() + (grad_b**2).sum())
-        # Backtracking Armijo search along the gradient direction.
-        trial = step
+        # Two-loop recursion: direction = (approximate inverse of the
+        # negative Hessian) @ grad, an ascent direction while every
+        # stored pair has s·y > 0.
+        direction = grad.copy()
+        alphas = []
+        for s, yv, rho in reversed(pairs):
+            alphas.append(rho * float(s @ direction))
+            direction -= alphas[-1] * yv
+        if pairs:
+            s, yv, _ = pairs[-1]
+            direction *= float(s @ yv) / float(yv @ yv)
+        else:
+            direction /= grad_norm
+        for (s, yv, rho), alpha in zip(pairs, reversed(alphas)):
+            direction += (alpha - rho * float(yv @ direction)) * s
+        slope = float(grad @ direction)
+        trial = 1.0
         for _ in range(60):
-            new_w = weights + trial * grad_w
-            new_b = bias + trial * grad_b
-            new_obj, new_gw, new_gb = maxent_objective(new_w, new_b, X, y, l2)
-            if math.isfinite(new_obj) and new_obj >= obj + 1e-4 * trial * sq:
+            new_theta = theta + trial * direction
+            new_obj, new_grad = evaluate(new_theta)
+            if math.isfinite(new_obj) and new_obj >= obj + 1e-4 * trial * slope:
                 break
             trial *= 0.5
         else:
             raise ArithmeticError(f"line search failed at iteration {it}")
-        weights, bias = new_w, new_b
-        obj, grad_w, grad_b = new_obj, new_gw, new_gb
-        step = trial * 2.0
+        s, yv = new_theta - theta, grad - new_grad
+        sy = float(s @ yv)
+        if sy > 0:
+            pairs.append((s, yv, 1.0 / sy))
+        theta, obj, grad = new_theta, new_obj, new_grad
 
     if converged:
         logger.info("maxent converged after %d iterations", n_iter)
@@ -322,8 +349,8 @@ def train_maxent(
     return MaxEntModel(
         labels=labels,
         vocabulary=vocabulary,
-        weights=weights,
-        bias=bias,
+        weights=theta[: k * v].reshape(k, v),
+        bias=theta[k * v :].copy(),
         l2=float(l2),
         converged=converged,
         n_iter=n_iter,

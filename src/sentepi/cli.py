@@ -104,6 +104,10 @@ def _finite(value: object) -> float:
     return number
 
 
+# Over 300 times the 30-point paper grid; each point costs runs_per_r runs.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
     try:
@@ -114,12 +118,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise click.UsageError(f"bad value for r_grid: {text!r}") from None
     if step <= 0:
         raise click.UsageError("r_grid step must be positive")
-    grid = []
-    value = start
-    while value <= stop + 1e-12:
-        grid.append(round(value, 10))
-        value += step
-    return tuple(grid)
+    # Point i is start + i * step, counted before any is made: a step
+    # below the float spacing near start must not stall the grid.
+    spans = (stop - start + 1e-12) / step
+    if spans >= _MAX_GRID_POINTS:
+        raise click.UsageError(
+            f"bad value for r_grid: {text!r} has more than {_MAX_GRID_POINTS} points"
+        )
+    return tuple(round(start + i * step, 10) for i in range(math.floor(spans) + 1))
 
 
 def _reader(hint) -> Callable[[object], object]:

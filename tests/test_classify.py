@@ -175,6 +175,44 @@ class TestMaxEnt:
         model = train_maxent(separable_docs())
         assert model.predict(tv("good", "novel")) == model.predict(tv("good"))
 
+    @staticmethod
+    def objective_at(model, docs, weights, bias):
+        X = featurize([d for d, _ in docs], model.vocabulary)
+        y = np.array([model.labels.index(lab) for _, lab in docs])
+        return maxent_objective(weights, bias, X, y, model.l2)
+
+    def test_converged_model_meets_its_tolerance(self):
+        docs = random_docs(60, 15, seed=8)
+        tol = 1e-6
+        model = train_maxent(docs, tol=tol)
+        assert model.converged and 0 < model.n_iter < 1000
+        _, grad_w, grad_b = self.objective_at(model, docs, model.weights, model.bias)
+        assert max(np.abs(grad_w).max(), np.abs(grad_b).max()) < tol
+
+    def test_iteration_cap_is_honoured(self):
+        model = train_maxent(random_docs(60, 15, seed=8), max_iter=3)
+        assert model.n_iter == 3
+        assert model.converged is False
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 1000])
+    def test_fit_is_no_worse_than_the_zero_start(self, max_iter):
+        docs = random_docs(60, 15, seed=8)
+        model = train_maxent(docs, max_iter=max_iter)
+        zero, _, _ = self.objective_at(
+            model, docs, np.zeros_like(model.weights), np.zeros_like(model.bias)
+        )
+        fitted, _, _ = self.objective_at(model, docs, model.weights, model.bias)
+        assert fitted >= zero
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("l2", math.inf), ("l2", math.nan), ("l2", -1.0),
+         ("tol", math.nan), ("tol", 0.0), ("max_iter", 0)],
+    )
+    def test_bad_argument_rejected_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            train_maxent(separable_docs(), **{name: value})
+
 
 class TestEnsemble:
     def test_maxent_final_on_conflict(self):

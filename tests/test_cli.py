@@ -21,6 +21,9 @@ _NON_FINITE = (
     "nb_smoothing = inf", "maxent_tol = inf", "maxent_l2 = nan", "coverage = nan",
     "r_grid = nan", "r_grid = 0,inf", "r_grid = 0:inf:0.005",
 )
+# Ranges whose point count is absurd: the first never advances an
+# accumulating loop (0.1 + 1e-20 == 0.1), the second asks for 10^12 points.
+_RUNAWAY_GRIDS = ("r_grid = 0.1:0.2:1e-20", "r_grid = 0:1:1e-12")
 
 
 class TestConfigParsing:
@@ -410,7 +413,7 @@ class TestErrorHandling:
             "in_fraction_iterations = -1", "runs_per_r = 0",
             "coverage = 0", "coverage = 1", "max_stall = 0", "r_grid =", "r_grid = 0.1,0.05",
             "nb_smoothing = 0", "maxent_l2 = -5", "maxent_tol = 0", "maxent_max_iter = 0",
-            "min_community_fraction = 2", *_NON_FINITE,
+            "min_community_fraction = 2", *_NON_FINITE, *_RUNAWAY_GRIDS,
         ],
     )
     def test_out_of_range_value_is_usage_error_naming_the_key(self, tmp_path, setting):
@@ -419,7 +422,7 @@ class TestErrorHandling:
         result = _run(["train", "--config", str(config)])
         assert result.exit_code == 2
         key = setting.split(" =")[0]
-        if setting in _NON_FINITE:
+        if setting in _NON_FINITE + _RUNAWAY_GRIDS:
             assert f"bad value for {key}" in result.output
         else:
             assert f"{key} must be" in result.output
