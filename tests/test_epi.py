@@ -322,27 +322,81 @@ def _exact_r0(net, params):
     any_given_window = float((1 - none).mean())
     r0 = float(mean.mean()) / any_given_window
     second_moment = float((var + mean**2).mean()) / any_given_window
-
-    # The index turns infectious after s incubation steps (a Weibull in
-    # days plus the offset, rounded to half days, floor 1) and must then
-    # survive recovery at t = 1..g infectious steps, g being the gap to the
-    # next weekday day-step, where it transmits before recovery is drawn.
-    # Steps alternate day and night from Monday: 0, 2, 4, 6, 8 of each 14.
-    def cdf(k):  # P(incubation <= k steps)
-        x = max(0.0, ((k + 0.5) / 2 - params.incubation_offset_days)
-                / params.incubation_scale_days)
-        return 1.0 - math.exp(-(x**params.incubation_shape))
-
-    p_window = 0.0
-    for s in range(1, 400):
-        g = next(g for g in range(14) if (s + g) % 14 in (0, 2, 4, 6, 8))
-        p_s = cdf(s) - (cdf(s - 1) if s > 1 else 0.0)
-        p_window += p_s * params.recovery_base ** (g * (g + 1) / 2)
+    p_window = sum(_window_steps(params, 0).values())
     return _ExactR0(
         r0=r0,
         p_secondary=any_given_window * p_window,
         r0_variance=second_moment - r0**2,
     )
+
+
+def _window_steps(params, exposed_at):
+    """{w: P(school window at step w)} for a node exposed during step
+    ``exposed_at``; the index case counts as exposed during step 0.
+
+    The node turns infectious k incubation steps later (a Weibull in days
+    plus the offset, rounded to half days, floor 1) and must then survive
+    recovery at t = 1..g infectious steps, g being the gap to the next
+    weekday day-step, where it transmits before recovery is drawn. Steps
+    alternate day and night from Monday: 0, 2, 4, 6, 8 of each 14. The
+    values sum to the probability that the node reaches a window at all.
+    """
+    def cdf(k):  # P(incubation <= k steps)
+        x = max(0.0, ((k + 0.5) / 2 - params.incubation_offset_days)
+                / params.incubation_scale_days)
+        return 1.0 - math.exp(-(x**params.incubation_shape))
+
+    windows = {}
+    for k in range(1, 400):
+        s = exposed_at + k
+        g = next(g for g in range(14) if (s + g) % 14 in (0, 2, 4, 6, 8))
+        p_k = cdf(k) - (cdf(k - 1) if k > 1 else 0.0)
+        windows[s + g] = windows.get(s + g, 0.0) + p_k * params.recovery_base ** (g * (g + 1) / 2)
+    return windows
+
+
+def _exact_path_sizes(weight, params):
+    """Exact P(size 1), P(size 2), P(size 3) of a full run on the
+    unvaccinated path 0-1-2, every edge of weight ``weight``.
+
+    The index is uniform. Each window infects a susceptible neighbour
+    with p = 1 - (1 - beta)^(0.25 w). From an end node (2/3), size 3
+    needs the index's window at some step w, a hit, the middle node's
+    window after exposure at w (its chance depends on w mod 14 only) and
+    a second hit. From the middle node (1/3), a window gives
+    1 + Binomial(2, p).
+    """
+    p = 1.0 - (1.0 - params.transmission_rate) ** (params.symptomatic_contact_factor * weight)
+    index_windows = _window_steps(params, 0)
+    q0 = sum(index_windows.values())
+    reach = [sum(_window_steps(params, e).values()) for e in range(14)]
+    end3 = sum(pw * p * reach[w % 14] * p for w, pw in index_windows.items())
+    end2 = q0 * p - end3
+    size2 = (2 * end2 + q0 * 2 * p * (1 - p)) / 3
+    size3 = (2 * end3 + q0 * p * p) / 3
+    return 1.0 - size2 - size3, size2, size3
+
+
+class TestSecondGeneration:
+    def test_path_outbreak_sizes_match_the_exact_values(self):
+        # Size 3 needs a non-index node's incubation, its weekday gap and
+        # its recovery draws, which the R0 oracle never sees. At w = 3000
+        # (p = 0.997) a school Saturday or a non-index node turning
+        # infectious a step early moves P(size 2) by over 8 standard
+        # errors; at w = 600 neither reaches 3.3.
+        weight, runs = 3000, 10_000
+        params = SEIRParams()
+        probs = _exact_path_sizes(weight, params)
+        assert probs == pytest.approx((0.0259, 0.0415, 0.9326), abs=1e-4)
+        net = _net(3, [(0, 1, weight), (1, 2, weight)])
+        vac = _no_vaccine(3)
+        sizes = np.bincount([
+            run_seir(net, vac, params, stream=derive_stream(77, i)).ever_infected
+            for i in range(runs)
+        ], minlength=4)[1:]
+        for hits, p in zip(sizes.tolist(), probs):
+            # 3.3 standard errors: a two-sided 99.9% binomial interval
+            assert abs(hits / runs - p) < 3.3 * math.sqrt(p * (1 - p) / runs)
 
 
 class TestVaccinationAssortativity:
