@@ -8,7 +8,9 @@ contributes exactly one transmission opportunity, at 25% of its contact
 durations, in the first weekday day-step it is infectious (the same
 half-day when symptoms start during school hours, the next school
 morning otherwise); afterwards it stays home until recovery. Vaccinated
-individuals start in the recovered class. The vaccination
+individuals start in the recovered class. A run holds only its active
+nodes (exposed, infectious and awaiting a window), so a step costs time
+in the size of the outbreak, not of the network. The vaccination
 redistribution hill-climb raises the vaccinated/unvaccinated
 assortativity to a target while holding coverage fixed, updating the
 coefficient incrementally from integer edge counts. R0 runs stop as
@@ -61,8 +63,6 @@ MIN_EDGE_WEIGHT = 90
 
 _STEPS_PER_WEEK = 14  # (day, night) x Mon..Sun
 _WEEKDAY_DAY_STEPS = frozenset({0, 2, 4, 6, 8})
-
-_S, _E, _I, _R = 0, 1, 2, 3
 
 
 class StallError(RuntimeError):
@@ -266,6 +266,12 @@ def run_seir(
     ends when no exposed or infectious individuals remain; the returned
     trace (if requested) holds (S, E, I, R) counts after each step.
 
+    A step touches only active nodes: ``exposed`` maps a node to the step
+    it turns infectious, ``infectious`` to its steps infectious, and
+    ``pending`` holds those awaiting their school window. Transmitters and
+    recovery draws go in node order, so each draw keeps the size and place
+    it has in a scan over all nodes.
+
     ``_index_only`` (for :func:`estimate_r0`) also ends the run once the
     index case is neither exposed nor waiting for its school window, so
     ``secondary_from_index`` is final. Until that window the index is the
@@ -277,77 +283,71 @@ def run_seir(
         raise ValueError("vaccination assignment does not match network size")
     gen = stream.generator()
 
-    state = np.full(net.n, _S, dtype=np.int8)
-    state[vac.vaccinated] = _R
-    susceptible = np.flatnonzero(state == _S)
-    if susceptible.size == 0:
+    susceptible = ~vac.vaccinated
+    candidates = np.flatnonzero(susceptible)
+    if candidates.size == 0:
         raise ValueError("no susceptible node to seed the outbreak")
 
-    index = int(susceptible[gen.integers(susceptible.size)])
-    clock = np.zeros(net.n, dtype=np.int64)
-    state[index] = _E
-    # The index is exposed during step 0, so like any node exposed during
-    # a step its clock must not tick until the following step; the +1
-    # cancels the decrement the progression phase applies at step 0.
-    clock[index] = _incubation_steps(gen.random(size=1), params)[0] + 1
+    index = int(candidates[gen.integers(candidates.size)])
+    susceptible[index] = False
+    exposed = {index: int(_incubation_steps(gen.random(size=1), params)[0])}
+    infectious: dict[int, int] = {}
+    pending: set[int] = set()
+    # recovery hazard after t steps infectious, forced at the last step
+    hazard = (1.0 - params.recovery_base ** np.arange(params.max_infectious_steps + 1)).tolist()
+    hazard[-1] = 1.0
 
     ever_infected = 1
     secondary_from_index = 0
     factor = params.symptomatic_contact_factor
-    # marks infectious nodes still waiting for their single school window
-    window_pending = np.zeros(net.n, dtype=bool)
     trace: list[tuple[int, int, int, int]] = []
 
     step = 0
     while True:
-        # an exposed node's clock counts incubation steps left and ticks
-        # every step; at 0 the node turns infectious now, and from then on
-        # its clock counts steps infectious
-        exposed = np.flatnonzero(state == _E)
-        clock[exposed] -= 1
-        fresh = exposed[clock[exposed] == 0]
-        state[fresh] = _I
-        window_pending[fresh] = True
+        for u in [u for u, due in exposed.items() if due == step]:
+            del exposed[u]
+            infectious[u] = 0
+            pending.add(u)
 
         if step % _STEPS_PER_WEEK in _WEEKDAY_DAY_STEPS:
             # each infectious node attends one school half-day at 25%
             # contact durations, then stays home until recovery
-            transmitters = np.flatnonzero(window_pending & (state == _I))
-            for u in transmitters:
-                nbrs, wts = net.neighbors(int(u))
-                sus_mask = state[nbrs] == _S
-                if not np.any(sus_mask):
+            for u in sorted(pending):
+                nbrs, wts = net.neighbors(u)
+                sus_mask = susceptible[nbrs]
+                if not sus_mask.any():
                     continue
                 targets = nbrs[sus_mask]
                 probs = transmission_probability(factor * wts[sus_mask], params.transmission_rate)
                 hits = targets[gen.random(targets.size) < probs]
                 if hits.size:
-                    state[hits] = _E
-                    clock[hits] = _incubation_steps(gen.random(size=hits.size), params)
+                    susceptible[hits] = False
+                    incubation = _incubation_steps(gen.random(size=hits.size), params)
+                    exposed.update(zip(hits.tolist(), (step + incubation).tolist()))
                     ever_infected += int(hits.size)
-                    if int(u) == index:
+                    if u == index:
                         secondary_from_index += int(hits.size)
-            window_pending[transmitters] = False
+            pending.clear()
 
         # recovery hazard advances every step, nights and weekends included
-        infectious = np.flatnonzero(state == _I)
-        if infectious.size:
-            clock[infectious] += 1
-            t = clock[infectious]
-            hazard = 1.0 - params.recovery_base**t
-            recovers = (gen.random(infectious.size) < hazard) | (
-                t >= params.max_infectious_steps
-            )
-            state[infectious[recovers]] = _R
+        if infectious:
+            order = sorted(infectious)
+            for u, x in zip(order, gen.random(len(order)).tolist()):
+                t = infectious[u] + 1
+                if x < hazard[t]:
+                    del infectious[u]
+                    pending.discard(u)
+                else:
+                    infectious[u] = t
 
         step += 1
         if record_trace:
-            trace.append(tuple(np.bincount(state, minlength=4).tolist()))
-        if not np.any(state == _E) and not np.any(state == _I):
+            s = candidates.size - ever_infected
+            trace.append((s, len(exposed), len(infectious),
+                          net.n - s - len(exposed) - len(infectious)))
+        if not exposed and not infectious:
             break
-        if _index_only and state[index] != _E and not (
-            state[index] == _I and window_pending[index]
-        ):
+        if _index_only and index not in exposed and index not in pending:
             break
 
     return SimResult(
@@ -468,8 +468,8 @@ def redistribute(
     is_vacc = status.__getitem__
     deg = net.degrees.tolist()
     neighbors = net.neighbor_lists
-    vacc_nodes = [i for i in range(net.n) if status[i]]
-    unvacc_nodes = [i for i in range(net.n) if not status[i]]
+    vacc_nodes = np.flatnonzero(vacc).tolist()
+    unvacc_nodes = np.flatnonzero(~vacc).tolist()
     gen = stream.generator()
     stall = 0
     while True:

@@ -10,6 +10,7 @@ from sentepi.epi import (
     ContactNetwork,
     R0Estimate,
     SEIRParams,
+    SimResult,
     StallError,
     UndefinedEstimateError,
     VaccinationAssignment,
@@ -226,6 +227,134 @@ class TestRunSeir:
         net = _net(4, [(0, 1, 90)])
         result = run_seir(net, _no_vaccine(4), stream=derive_stream(9))
         assert result.attack_rate >= 1 / 4
+
+
+def _reference_run_seir(net, vac, params, *, stream, record_trace=False, _index_only=False):
+    """run_seir as a scan over every node's state each step; the
+    active-set loop must give the same SimResult."""
+    S, E, I, R = 0, 1, 2, 3
+    gen = stream.generator()
+    state = np.full(net.n, S, dtype=np.int8)
+    state[vac.vaccinated] = R
+    susceptible = np.flatnonzero(state == S)
+    index = int(susceptible[gen.integers(susceptible.size)])
+    clock = np.zeros(net.n, dtype=np.int64)
+    state[index] = E
+    clock[index] = _incubation_steps(gen.random(size=1), params)[0] + 1
+    ever_infected, secondary_from_index = 1, 0
+    window_pending = np.zeros(net.n, dtype=bool)
+    trace = []
+    step = 0
+    while True:
+        exposed = np.flatnonzero(state == E)
+        clock[exposed] -= 1
+        fresh = exposed[clock[exposed] == 0]
+        state[fresh] = I
+        window_pending[fresh] = True
+        if step % 14 in (0, 2, 4, 6, 8):
+            transmitters = np.flatnonzero(window_pending & (state == I))
+            for u in transmitters:
+                nbrs, wts = net.neighbors(int(u))
+                sus_mask = state[nbrs] == S
+                if not np.any(sus_mask):
+                    continue
+                targets = nbrs[sus_mask]
+                probs = transmission_probability(
+                    params.symptomatic_contact_factor * wts[sus_mask], params.transmission_rate
+                )
+                hits = targets[gen.random(targets.size) < probs]
+                if hits.size:
+                    state[hits] = E
+                    clock[hits] = _incubation_steps(gen.random(size=hits.size), params)
+                    ever_infected += int(hits.size)
+                    if int(u) == index:
+                        secondary_from_index += int(hits.size)
+            window_pending[transmitters] = False
+        infectious = np.flatnonzero(state == I)
+        if infectious.size:
+            clock[infectious] += 1
+            t = clock[infectious]
+            hazard = 1.0 - params.recovery_base**t
+            recovers = (gen.random(infectious.size) < hazard) | (t >= params.max_infectious_steps)
+            state[infectious[recovers]] = R
+        step += 1
+        if record_trace:
+            trace.append(tuple(np.bincount(state, minlength=4).tolist()))
+        if not np.any(state == E) and not np.any(state == I):
+            break
+        if _index_only and state[index] != E and not (state[index] == I and window_pending[index]):
+            break
+    return SimResult(
+        ever_infected=ever_infected,
+        secondary_from_index=secondary_from_index,
+        duration_steps=step,
+        attack_rate=ever_infected / net.n,
+        index_node=index,
+        trace=tuple(trace) if record_trace else None,
+    )
+
+
+class TestReferenceLoop:
+    """run_seir against _reference_run_seir on the same streams."""
+
+    @staticmethod
+    def _same(net, vac, params, streams, **kwargs):
+        results = []
+        for stream in streams:
+            new = run_seir(net, vac, params, stream=stream, record_trace=True, **kwargs)
+            assert new == _reference_run_seir(
+                net, vac, params, stream=stream, record_trace=True, **kwargs
+            )
+            results.append(new)
+        return results
+
+    @pytest.mark.parametrize("target_r", [0.0, 0.145])
+    def test_sweep_like_runs(self, target_r):
+        net = default_contact_network()
+        for j in range(150):
+            vac = random_assignment(net, 0.624, derive_stream(60, j, 0))
+            vac = redistribute(net, vac, target_r, derive_stream(60, j, 1))
+            self._same(net, vac, SEIRParams(), [derive_stream(60, j, 2)])
+
+    def test_full_unvaccinated_runs(self):
+        net = default_contact_network()
+        results = self._same(net, _no_vaccine(net.n), SEIRParams(),
+                             [derive_stream(61, i) for i in range(30)])
+        assert max(r.attack_rate for r in results) > 0.3
+
+    def test_index_only_runs(self):
+        net = default_contact_network()
+        self._same(net, _no_vaccine(net.n), SEIRParams(),
+                   [derive_stream(62, i) for i in range(500)], _index_only=True)
+
+    def test_index_without_a_susceptible_neighbour(self):
+        net = _net(4, [(0, 1, 3000), (0, 2, 3000), (2, 3, 3000)])
+        vac = VaccinationAssignment(np.array([False, True, True, False]))
+        results = self._same(net, vac, SEIRParams(), [derive_stream(63, i) for i in range(40)])
+        assert {r.ever_infected for r in results} == {1}
+
+    def test_all_but_one_vaccinated(self):
+        net = default_contact_network()
+        vacc = np.ones(net.n, dtype=bool)
+        vacc[500] = False
+        results = self._same(net, VaccinationAssignment(vacc), SEIRParams(),
+                             [derive_stream(64, i) for i in range(20)])
+        assert {r.index_node for r in results} == {500}
+
+    def test_recovery_before_the_window_means_no_transmission(self):
+        # recovery_base 0 recovers every node at its first draw, so only a
+        # node turning infectious on a school half-day transmits
+        net = _net(5, [(i, j, 90) for i in range(5) for j in range(i + 1, 5)])
+        params = SEIRParams(transmission_rate=1.0, recovery_base=0.0)
+        results = self._same(net, _no_vaccine(5), params,
+                             [derive_stream(65, i) for i in range(60)])
+        assert {r.ever_infected for r in results} == {1, 5}
+
+    def test_runs_across_weekends(self):
+        net = _net(8, [(i, i + 1, 3000) for i in range(7)])
+        results = self._same(net, _no_vaccine(8), SEIRParams(),
+                             [derive_stream(66, i) for i in range(40)])
+        assert max(r.duration_steps for r in results) > 2 * 14
 
 
 class TestEstimateR0:
