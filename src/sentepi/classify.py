@@ -148,12 +148,6 @@ class MaxEntModel(_LinearClassifier):
     converged: bool
     n_iter: int
 
-    def predict_proba(self, tv: TokenVector) -> np.ndarray:
-        s = self._scores(featurize([tv], self.vocabulary))[0]
-        s -= s.max()
-        e = np.exp(s)
-        return e / e.sum()
-
 
 @dataclass
 class EnsembleModel:
@@ -268,6 +262,12 @@ def maxent_objective(
     return ll, np.asarray(grad_w), grad_b
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` by numpy's pairwise sum. A threaded BLAS ``ddot`` adds in
+    an order set by its thread count, so the fit would depend on the host."""
+    return float(np.multiply(a, b).sum())
+
+
 def train_maxent(
     docs: Sequence[LabeledDoc],
     l2: float = 0.1,
@@ -317,16 +317,16 @@ def train_maxent(
         direction = grad.copy()
         alphas = []
         for s, yv, rho in reversed(pairs):
-            alphas.append(rho * float(s @ direction))
+            alphas.append(rho * _dot(s, direction))
             direction -= alphas[-1] * yv
         if pairs:
             s, yv, _ = pairs[-1]
-            direction *= float(s @ yv) / float(yv @ yv)
+            direction *= _dot(s, yv) / _dot(yv, yv)
         else:
             direction /= grad_norm
         for (s, yv, rho), alpha in zip(pairs, reversed(alphas)):
-            direction += (alpha - rho * float(yv @ direction)) * s
-        slope = float(grad @ direction)
+            direction += (alpha - rho * _dot(yv, direction)) * s
+        slope = _dot(grad, direction)
         trial = 1.0
         for _ in range(60):
             new_theta = theta + trial * direction
@@ -337,7 +337,7 @@ def train_maxent(
         else:
             raise ArithmeticError(f"line search failed at iteration {it}")
         s, yv = new_theta - theta, grad - new_grad
-        sy = float(s @ yv)
+        sy = _dot(s, yv)
         if sy > 0:
             pairs.append((s, yv, 1.0 / sy))
         theta, obj, grad = new_theta, new_obj, new_grad

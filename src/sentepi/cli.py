@@ -191,6 +191,10 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
     for key, (valid, allowed) in _RANGES.items():
         if not valid(getattr(config, key)):
             raise click.UsageError(f"{key} must be {allowed}, got {getattr(config, key)!r}")
+    if config.start_date and config.end_date and config.start_date > config.end_date:
+        raise click.UsageError(
+            f"start_date must not be after end_date, got {config.start_date} > {config.end_date}"
+        )
     return config
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "StallError",
     "UndefinedEstimateError",
     "transmission_probability",
-    "sample_incubation",
     "random_assignment",
     "run_seir",
     "estimate_r0",
@@ -121,11 +120,6 @@ def transmission_probability(
     if (np.asarray(w) < 0).any():
         raise ValueError("weight must be non-negative")
     return 1.0 - (1.0 - rate) ** w
-
-
-def sample_incubation(stream: RandomStream, params: SEIRParams = SEIRParams()) -> int:
-    """Draw an incubation time in half-day steps (>= 1) by inverse CDF."""
-    return int(_incubation_steps(stream.generator().random(size=1), params)[0])
 
 
 def _incubation_steps(u: np.ndarray, params: SEIRParams) -> np.ndarray:
@@ -219,10 +213,6 @@ class VaccinationAssignment:
     @property
     def n_vaccinated(self) -> int:
         return int(self.vaccinated.sum())
-
-    @property
-    def coverage(self) -> float:
-        return self.n_vaccinated / self.vaccinated.size
 
 
 def random_assignment(

@@ -26,7 +26,6 @@ __all__ = [
     "CommunityReport",
     "assortativity",
     "bootstrap_null",
-    "in_fraction",
     "in_fraction_test",
     "detect_communities",
     "modularity",
@@ -178,20 +177,6 @@ def _in_fractions(src: np.ndarray, dst: np.ndarray, n: int):
         return np.bincount(dst, weights=same, minlength=n)[keep] / indeg[keep]
 
     return fractions, keep
-
-
-def in_fraction(
-    labels: Mapping[Hashable, Hashable],
-    edges: Sequence[tuple[Hashable, Hashable]],
-) -> dict:
-    """Per-node fraction of incoming edges from same-type nodes.
-
-    Nodes with no incoming edges are absent from the result.
-    """
-    codes, src, dst, _ = _code_edges(labels, edges)
-    fractions, keep = _in_fractions(src, dst, codes.size)
-    kept = [node for node, k in zip(sorted(labels), keep) if k]
-    return dict(zip(kept, fractions(codes)))
 
 
 # A replicate's Wilcoxon p-value below this counts as significant.

@@ -84,21 +84,17 @@ def daily_series(
     labeled_tweets: Iterable[tuple[Tweet, SentimentLabel]],
     start: date,
     end: date,
-    region: str | None = None,
 ) -> list[DailyCounts]:
     """Tally relevant tweets per UTC calendar day over [start, end].
 
     Irrelevant-labeled tweets are never counted; days without tweets are
-    zero-filled. ``region`` restricts the tally to tweets carrying that
-    region code.
+    zero-filled.
     """
     if end < start:
         raise ValueError("empty date range")
     n_days = (end - start).days + 1
 
     def day_offset(tweet: Tweet) -> int | None:
-        if region is not None and tweet.region != region:
-            return None
         offset = (tweet.timestamp.date() - start).days
         return offset if 0 <= offset < n_days else None
 

@@ -427,6 +427,15 @@ class TestErrorHandling:
         else:
             assert f"{key} must be" in result.output
 
+    def test_start_date_after_end_date_is_usage_error_naming_both(self, tmp_path):
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"seed = 1\nout = {tmp_path / 'o'}\nstart_date = 2009-09-10\nend_date = 2009-09-09\n"
+        )
+        result = _run(["timeseries", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "start_date must not be after end_date" in result.output
+
     def test_sweep_without_gen_net_manifest_is_usage_error(self, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
@@ -609,7 +618,7 @@ class TestStageProtocol:
 
     @pytest.mark.parametrize(
         "setting",
-        ["coverage_table = {two_regions}", "start_date = 2009-12-01\nend_date = 2009-09-01"],
+        ["coverage_table = {two_regions}", "start_date = 2010-09-01"],
     )
     def test_timeseries_failure_is_one_error_line_and_no_manifest(
         self, run_copy, pipeline_dir, tmp_path, setting

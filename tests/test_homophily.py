@@ -5,11 +5,12 @@ import scipy.stats
 from sentepi.homophily import (
     AssortativityResult,
     _assortativity_from_codes,
+    _code_edges,
+    _in_fractions,
     assortativity,
     bootstrap_null,
     community_enrichment,
     detect_communities,
-    in_fraction,
     in_fraction_test,
     modularity,
 )
@@ -177,22 +178,31 @@ class TestBootstrapNull:
         assert null.max == ordered[-1]
 
 
+def in_fractions_by_node(labels, edges):
+    """Node -> the ``_in_fractions`` value that ``in_fraction_test`` sees;
+    nodes with no incoming edges are absent."""
+    codes, src, dst, _ = _code_edges(labels, edges)
+    fractions, keep = _in_fractions(src, dst, codes.size)
+    kept = [node for node, k in zip(sorted(labels), keep) if k]
+    return dict(zip(kept, fractions(codes)))
+
+
 class TestInFraction:
     def test_mixed_incoming_edges(self):
         labels = {0: 1, 1: 1, 2: 1, 3: -1}
         edges = [(1, 0), (2, 0), (3, 0)]  # two same-sign, one opposite
-        f = in_fraction(labels, edges)
+        f = in_fractions_by_node(labels, edges)
         assert f[0] == pytest.approx(2 / 3)
 
     def test_no_incoming_edges_absent(self):
-        f = in_fraction({0: 1, 1: 1}, [(0, 1)])
+        f = in_fractions_by_node({0: 1, 1: 1}, [(0, 1)])
         assert 0 not in f
         assert f[1] == 1.0
 
     def test_all_same_sign(self):
         labels = {i: 1 for i in range(5)}
         edges = [(i, (i + 1) % 5) for i in range(5)]
-        f = in_fraction(labels, edges)
+        f = in_fractions_by_node(labels, edges)
         assert all(v == 1.0 for v in f.values())
 
     def test_indegree_weighted_mean_equals_same_sign_edge_fraction(self):
@@ -205,7 +215,7 @@ class TestInFraction:
                 if a != b
             }
         )
-        f = in_fraction(labels, edges)
+        f = in_fractions_by_node(labels, edges)
         indeg = {}
         for _, v in edges:
             indeg[v] = indeg.get(v, 0) + 1

@@ -265,7 +265,7 @@ class TestRandomStreams:
                 checked.add(f"{info.name}.{name}")
                 assert get_type_hints(fn)["stream"] is RandomStream, checked
                 assert param.default is inspect.Parameter.empty, f"{info.name}.{name}"
-        assert {"epi.run_seir", "epi.estimate_r0", "epi.sample_incubation",
+        assert {"epi.run_seir", "epi.estimate_r0",
                 "homophily.bootstrap_null", "synthetic.synthetic_corpus"} <= checked
         assert "as_stream" not in sentepi.stats.__all__
 

@@ -90,25 +90,6 @@ class TestDailySeries:
         with pytest.raises(ValueError):
             daily_series([], date(2009, 9, 3), date(2009, 9, 2))
 
-    def test_region_filter(self):
-        labeled = [(_tweet(1, 3, region="R1"), POS), (_tweet(2, 3, region="R2"), POS)]
-        series = daily_series(labeled, date(2009, 9, 3), date(2009, 9, 3), region="R1")
-        assert series[0].n_pos == 1
-
-    def test_regional_tallies_sum_to_national(self):
-        gen_labels = [POS, NEG, NEU, POS, NEG, NEU, POS]
-        labeled = [
-            (_tweet(i, 1 + i % 5, region=f"R{i % 3}"), lab)
-            for i, lab in enumerate(gen_labels)
-        ]
-        lo, hi = date(2009, 9, 1), date(2009, 9, 5)
-        national = daily_series(labeled, lo, hi)
-        partials = [daily_series(labeled, lo, hi, region=f"R{k}") for k in range(3)]
-        for day_idx in range(len(national)):
-            for field in ("n_pos", "n_neg", "n_neu"):
-                total = sum(getattr(p[day_idx], field) for p in partials)
-                assert total == getattr(national[day_idx], field)
-
 
 class TestMovingAverage:
     def test_constant_series(self):
