@@ -5,7 +5,9 @@ directed network of opinionated users, and simulates SEIR epidemics on
 weighted contact networks under assortativity-constrained vaccination
 distributions. The table layer below writes every pipeline file whole
 and reports a malformed row or a repeated key of a table it reads as
-``path:line:``.
+``path:line:``. The errors the CLI reports, :class:`InputError` and the
+hill-climb's :class:`StallError`, live here so that the CLI catches them
+without importing the modules that raise them.
 """
 
 import csv
@@ -18,6 +20,18 @@ __version__ = "0.1.0"
 
 class InputError(ValueError):
     """A malformed input file; the message starts with ``path:line:``."""
+
+
+class StallError(RuntimeError):
+    """Hill-climb hit its rejected-swap limit before reaching the target."""
+
+    def __init__(self, message: str, best_r: float, target_r: float):
+        super().__init__(message)
+        self.best_r = best_r
+        self.target_r = target_r
+
+    def __reduce__(self):  # a sweep worker's stall reaches the parent whole
+        return type(self), (str(self), self.best_r, self.target_r)
 
 
 def _replace(path: str | Path, write: Callable[[TextIO], object]) -> None:

@@ -6,17 +6,21 @@ through per-command stream paths; ``gen-net`` writes the calibrated
 contact network, the same for every seed. Every command is a pipeline
 stage registered through :func:`_stage`, which checks the stage's inputs
 and its upstream chain, deletes its own manifest first and writes it
-last; every file is replaced whole. A manifest is fresh while its ``reads``
-(each config key the stage read; a file by its sha256), ``upstream``
-and ``outputs`` (the sha256 of each file consumed and written) match.
+last; every file is replaced whole. Each stage body imports the modules
+it uses, so a stage process loads only its own. A manifest is fresh while
+its ``reads`` (each config key the stage read; a file by its sha256),
+``upstream`` and ``outputs`` (the sha256 of each file consumed and
+written) match.
 
 Exit codes: 0 success, 1 runtime failure (one ``Error:`` line, such as
 a model file that is not a model), 2 usage or configuration error,
-including a config value out of range, a malformed row in the labels
-file, the coverage table, the contact network, an adjacency list or an
-intermediate file, and a key repeated in the labels file, the coverage
-table or an intermediate file (each reported as ``path:line:``). Text
-inputs are decoded as UTF-8 with invalid bytes read as U+FFFD.
+including a config value out of range, a ``start_date`` after the last
+labeled tweet or an ``end_date`` before the first, a malformed row in
+the labels file, the coverage table, the contact network, an adjacency
+list or an intermediate file, and a key repeated in the labels file, the
+coverage table or an intermediate file (each reported as
+``path:line:``). Text inputs are decoded as UTF-8 with invalid bytes
+read as U+FFFD.
 """
 
 from __future__ import annotations
@@ -36,9 +40,7 @@ import click
 import numpy
 import scipy
 
-from . import InputError, __version__, read_mapping, write_csv, write_text
-from . import classify as classify_mod
-from . import epi, flownet, homophily, synthetic, timeseries
+from . import InputError, StallError, __version__, read_mapping, write_csv, write_text
 from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
 from .stats import derive_stream
 
@@ -346,7 +348,7 @@ def _stage(
                 outputs = body(reads, **kwargs)
             except InputError as exc:
                 raise click.UsageError(str(exc)) from exc
-            except (ValueError, ArithmeticError, epi.StallError) as exc:
+            except (ValueError, ArithmeticError, StallError) as exc:
                 raise click.ClickException(str(exc)) from exc
             _write_manifest(config, name, reads.keys, consumed, outputs)
 
@@ -367,6 +369,8 @@ def _stage(
 @_stage("train", inputs=("tweets", "labels"))
 def train(config: RunConfig) -> list[str]:
     """Train the sentiment ensemble on the labeled tweets."""
+    from . import classify
+
     tweets = _load_tweets(config)
     labels = parse_labels(config.labels)
 
@@ -386,14 +390,14 @@ def train(config: RunConfig) -> list[str]:
         heldout = [docs[i] for i in order[:n_test]]
         docs = [docs[i] for i in order[n_test:]]
 
-    nb = classify_mod.train_naive_bayes(docs, smoothing=config.nb_smoothing)
-    maxent = classify_mod.train_maxent(
+    nb = classify.train_naive_bayes(docs, smoothing=config.nb_smoothing)
+    maxent = classify.train_maxent(
         docs, l2=config.maxent_l2, max_iter=config.maxent_max_iter,
         tol=config.maxent_tol,
     )
-    model = classify_mod.EnsembleModel(nb=nb, maxent=maxent)
+    model = classify.EnsembleModel(nb=nb, maxent=maxent)
     model_path = config.out / "ensemble_model.json"
-    classify_mod.save_ensemble(model, model_path)
+    classify.save_ensemble(model, model_path)
 
     click.echo(
         f"trained on {len(docs)} docs, vocabulary {len(nb.vocabulary)}, "
@@ -401,7 +405,7 @@ def train(config: RunConfig) -> list[str]:
         f"after {maxent.n_iter} iterations"
     )
     if heldout:
-        acc = classify_mod.evaluate_accuracy(model, heldout)
+        acc = classify.evaluate_accuracy(model, heldout)
         click.echo(f"held-out accuracy on {len(heldout)} docs: {acc:.4f}")
     return [model_path.name]
 
@@ -409,7 +413,9 @@ def train(config: RunConfig) -> list[str]:
 @_stage("classify", inputs=("tweets", "labels"), upstream="train")
 def classify_cmd(config: RunConfig) -> list[str]:
     """Predict labels for tweets without a manual label."""
-    model = classify_mod.load_ensemble(config.out / "ensemble_model.json")
+    from . import classify
+
+    model = classify.load_ensemble(config.out / "ensemble_model.json")
     tweets = _load_tweets(config)
     labels = parse_labels(config.labels)
 
@@ -428,12 +434,18 @@ def classify_cmd(config: RunConfig) -> list[str]:
 @_stage("timeseries", inputs=("tweets",), upstream="classify")
 def timeseries_cmd(config: RunConfig) -> list[str]:
     """Daily sentiment counts, the smoothed score, and regional scores."""
+    from . import timeseries
+
     labeled = _labeled_tweets(config)
     if not labeled:
         raise click.ClickException("no labeled tweets to aggregate")
 
     start = config.start_date or min(t.timestamp.date() for t, _ in labeled)
     end = config.end_date or max(t.timestamp.date() for t, _ in labeled)
+    if start > end:  # load_config rejects this only when both keys are set
+        if config.start_date:
+            raise click.UsageError(f"start_date {start} is after the last labeled tweet ({end})")
+        raise click.UsageError(f"end_date {end} is before the first labeled tweet ({start})")
     series = timeseries.daily_series(labeled, start, end)
     scores = timeseries.region_scores(labeled)
 
@@ -466,6 +478,8 @@ def timeseries_cmd(config: RunConfig) -> list[str]:
 @_stage("flownet", inputs=("tweets", "followers", "friends"), upstream="classify")
 def flownet_cmd(config: RunConfig) -> list[str]:
     """Build the opinionated information-flow network's giant component."""
+    from . import flownet
+
     tallies = flownet.tally_users(_labeled_tweets(config))
 
     with open(config.followers, encoding="utf-8", errors="replace") as fh:
@@ -494,6 +508,8 @@ def flownet_cmd(config: RunConfig) -> list[str]:
 @_stage("homophily", upstream="flownet", workers=True)
 def homophily_cmd(config: RunConfig, workers: int) -> list[str]:
     """Assortativity, bootstrap null, in-fractions, and communities."""
+    from . import flownet, homophily
+
     network = flownet.read_network(
         config.out / "opinion_nodes.csv", config.out / "opinion_edges.csv"
     )
@@ -541,6 +557,8 @@ def homophily_cmd(config: RunConfig, workers: int) -> list[str]:
 @_stage("gen-net")
 def gen_net(config: RunConfig) -> list[str]:
     """Write the calibrated contact network; it reads no config key."""
+    from . import epi, synthetic
+
     net = synthetic.default_contact_network()
     net_path = config.out / "contact_network.csv"
     epi.write_contact_network(net_path, net)
@@ -555,6 +573,8 @@ def gen_net(config: RunConfig) -> list[str]:
 )
 def sweep_cmd(config: RunConfig, workers: int) -> list[str]:
     """Outbreak risk across the assortativity grid."""
+    from . import epi
+
     if config.contact_network is not None:
         _require_inputs(config, "contact_network")
     net = epi.read_contact_network(config.contact_network or config.out / "contact_network.csv")

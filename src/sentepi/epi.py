@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import InputError, read_csv, write_csv
+from . import InputError, StallError, read_csv, write_csv
 from .stats import RandomStream, largest_component, map_chunks, wilson_interval
 
 logger = logging.getLogger(__name__)
@@ -62,15 +62,6 @@ MIN_EDGE_WEIGHT = 90
 
 _STEPS_PER_WEEK = 14  # (day, night) x Mon..Sun
 _WEEKDAY_DAY_STEPS = frozenset({0, 2, 4, 6, 8})
-
-
-class StallError(RuntimeError):
-    """Hill-climb hit its rejected-swap limit before reaching the target."""
-
-    def __init__(self, message: str, best_r: float, target_r: float):
-        super().__init__(message)
-        self.best_r = best_r
-        self.target_r = target_r
 
 
 class UndefinedEstimateError(ValueError):

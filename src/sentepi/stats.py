@@ -171,9 +171,49 @@ def weighted_pearson(x, y, w) -> tuple[float, float]:
     if 1.0 - r * r < 1e-15:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    from scipy.special import stdtr
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return r, min(1.0, p)
+    return r, min(1.0, _t_two_sided(t, n - 2))
+
+
+def _t_two_sided(t: float, nu: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``nu`` degrees of freedom.
+
+    That is the regularized incomplete beta I_x(nu/2, 1/2) at
+    x = nu / (nu + t^2) (DiDonato & Morris 1992), summed by Lentz's
+    continued fraction, on whichever of I_x(a, b) = 1 - I_{1-x}(b, a)
+    converges fast. 1 - x is formed as t^2 / (nu + t^2), without
+    cancellation.
+    """
+    if t == 0.0:
+        return 1.0
+    a, b = nu / 2.0, 0.5
+    x, y = nu / (nu + t * t), t * t / (nu + t * t)
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_001):
+        # the even then the odd term of the fraction
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d, c = 1.0 + num * d, 1.0 + num / c
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= math.ulp(1.0):
+            return h
+    raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
 
 
 def fisher_exact_2x2(a: int, b: int, c: int, d: int) -> float:

@@ -13,6 +13,8 @@ from scipy import sparse
 
 from sentepi.classify import (
     EnsembleModel,
+    _Csr,
+    _training_set,
     ensemble_predict,
     evaluate_accuracy,
     featurize,
@@ -117,6 +119,59 @@ def random_docs(n_docs, n_tokens, seed, labels=LABEL_ORDER):
         tokens = [vocab[int(j)] for j in gen.integers(0, n_tokens, size=k)]
         docs.append((tv(*tokens), label))
     return docs
+
+
+class TestCsrProducts:
+    """The bincount products prediction uses against scipy's CSR kernels,
+    which train_maxent's objective uses: equal bit for bit."""
+
+    @staticmethod
+    def random_csr(seed, n=60, v=400):
+        gen = derive_stream(seed).generator()
+        lengths = gen.integers(0, 25, size=n)
+        lengths[[0, 5, n - 1]] = 0  # empty rows, the last one included
+        lengths[9] = 300  # over 128 terms, where numpy's pairwise sums reorder
+        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+        indices = np.concatenate(
+            [np.sort(gen.choice(v, size=k, replace=False)) for k in lengths]
+        ).astype(np.int32)
+        data = gen.integers(1, 4, size=indices.size) * gen.random(indices.size)
+        X = _Csr(data, indices, indptr, np.repeat(np.arange(n), lengths), v)
+        return X, sparse.csr_matrix((data, indices, indptr), shape=(n, v)), gen
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_product_with_dense_matches_scipy_bit_for_bit(self, seed):
+        X, S, gen = self.random_csr(seed)
+        W = gen.normal(size=(4, S.shape[1]))
+        assert np.array_equal(X @ W.T, S @ W.T)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_times_matrix_matches_scipy_bit_for_bit(self, seed):
+        X, S, gen = self.random_csr(seed)
+        R = gen.normal(size=(S.shape[0], 4))
+        assert np.array_equal(R.T @ X, np.asarray(R.T @ S))
+
+    def test_objective_is_the_same_on_both_matrices(self):
+        # train_maxent multiplies through scipy, prediction through _Csr
+        docs = random_docs(40, 12, seed=5)
+        labels, vocabulary, X, y = _training_set(docs)
+        S = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        gen = derive_stream(6).generator()
+        weights = gen.normal(size=(len(labels), len(vocabulary)))
+        bias = gen.normal(size=len(labels))
+        for ours, theirs in zip(
+            maxent_objective(weights, bias, X, y, 0.1), maxent_objective(weights, bias, S, y, 0.1)
+        ):
+            assert np.array_equal(ours, theirs)
+
+    def test_featurize_sorts_columns_within_each_row(self):
+        vocabulary = {t: i for i, t in enumerate("abcde")}
+        X = featurize([tv("e", "a", "c", "a"), tv(), tv("zz", "d", "b")], vocabulary)
+        assert X.shape == (3, 5)
+        assert X.indices.tolist() == [0, 2, 4, 1, 3]
+        assert X.data.tolist() == [2.0, 1.0, 1.0, 1.0, 1.0]
+        assert X.indptr.tolist() == [0, 3, 3, 5]
+        assert X.rows.tolist() == [0, 0, 0, 2, 2]
 
 
 class TestMaxEnt:

@@ -616,24 +616,48 @@ class TestStageProtocol:
         corr = json.loads((run_copy.out / "regional_correlation.json").read_text())
         assert corr["n_regions"] == 5
 
-    @pytest.mark.parametrize(
-        "setting",
-        ["coverage_table = {two_regions}", "start_date = 2010-09-01"],
-    )
     def test_timeseries_failure_is_one_error_line_and_no_manifest(
-        self, run_copy, pipeline_dir, tmp_path, setting
+        self, run_copy, pipeline_dir, tmp_path
     ):
         two_regions = tmp_path / "coverage.csv"
         two_regions.write_text("region,coverage\nR01,0.5\nR02,0.7\n")
         config = tmp_path / "bad.conf"
-        config.write_text(
-            pipeline_dir["config"].read_text() + setting.format(two_regions=two_regions) + "\n"
-        )
+        config.write_text(pipeline_dir["config"].read_text() + f"coverage_table = {two_regions}\n")
         assert (run_copy.out / "manifest_timeseries.json").exists()
         result = run_copy("timeseries", "--force", config=config)
         assert result.exit_code == 1
         assert "Error: " in result.output
         assert not (run_copy.out / "manifest_timeseries.json").exists()
+
+    @pytest.mark.parametrize("setting, key", [
+        ("start_date = 2010-09-01", "start_date 2010-09-01 is after the last labeled tweet"),
+        ("end_date = 2000-01-01", "end_date 2000-01-01 is before the first labeled tweet"),
+    ])
+    def test_date_range_past_the_tweets_is_usage_error_naming_the_key(
+        self, run_copy, pipeline_dir, tmp_path, setting, key
+    ):
+        config = tmp_path / "dates.conf"
+        config.write_text(pipeline_dir["config"].read_text() + setting + "\n")
+        result = run_copy("timeseries", "--force", config=config)
+        assert result.exit_code == 2
+        assert key in result.output
+        assert not (run_copy.out / "manifest_timeseries.json").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_stall_is_one_error_line_and_no_manifest(self, tmp_path, workers):
+        # a 4-node path cannot reach r ~ 0.99 at coverage 1/2; with two
+        # workers the stall is raised in a pool process
+        net = tmp_path / "path.csv"
+        net.write_text("u,v,w\n0,1,90\n1,2,90\n2,3,90\n")
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"seed = 1\nout = {tmp_path / 'o'}\ncontact_network = {net}\n"
+            "coverage = 0.5\nr_grid = 0.99\nruns_per_r = 3\nmax_stall = 300\n"
+        )
+        result = _run(["sweep", "--config", str(config), "--workers", workers])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and "grid point" in result.output
+        assert not (tmp_path / "o" / "manifest_sweep.json").exists()
 
     @pytest.mark.parametrize("stage", ["homophily", "sweep"])
     def test_zero_workers_is_usage_error(self, run_copy, stage):
@@ -699,15 +723,41 @@ class TestSeedOverride:
         assert manifest["seed"] == 77
 
 
-def test_importing_the_cli_loads_no_scipy_sparse_or_special():
-    # Only train/classify need scipy.sparse and only weighted_pearson needs
-    # scipy.special; every other stage should not pay for importing them.
+_STAGE_MODULES = {
+    f"sentepi.{name}" for name in ("classify", "epi", "flownet", "homophily", "synthetic", "timeseries")
+}
+_SCIPY_KERNELS = ("scipy.sparse", "scipy.special")
+
+
+def _imported_modules(*args):
+    """The modules a fresh ``python -X importtime *args`` process imports."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "import sentepi.cli"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, "-X", "importtime", *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
     )
-    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_importing_the_cli_loads_no_scipy_sparse_or_special():
+    # Each stage body imports its own modules; importing the CLI loads none.
+    modules = _imported_modules("-c", "import sentepi.cli")
     assert "sentepi.cli" in modules
-    assert not [m for m in modules if m.startswith(("scipy.sparse", "scipy.special"))]
+    assert not [m for m in modules if m.startswith(_SCIPY_KERNELS)]
+    assert not _STAGE_MODULES.intersection(modules)
+
+
+@pytest.mark.parametrize("stage", ["classify", "timeseries"])
+def test_classify_and_timeseries_processes_load_no_scipy_sparse_or_special(
+    run_copy, pipeline_dir, stage
+):
+    # Only train needs scipy.sparse (the MaxEnt fit); no stage needs scipy.special.
+    modules = _imported_modules(
+        "-m", "sentepi.cli", stage, "--config", str(pipeline_dir["config"]),
+        "--out", str(run_copy.out),
+    )
+    assert f"sentepi.{stage}" in modules
+    assert not [m for m in modules if m.startswith(_SCIPY_KERNELS)]

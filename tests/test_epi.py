@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,8 @@ from sentepi.epi import (
     vaccination_assortativity,
     write_contact_network,
 )
-from sentepi import InputError
+import sentepi
+from sentepi import InputError, epi
 from sentepi.epi import _incubation_steps
 from sentepi.stats import derive_stream
 from sentepi.synthetic import default_contact_network
@@ -590,6 +592,17 @@ class TestRedistribute:
         cold = redistribute(fresh, vac, 0.1, derive_stream(38))
         assert np.array_equal(warm.vaccinated, cold.vaccinated)
         assert net.neighbor_lists == fresh.neighbor_lists
+
+    def test_stall_error_is_the_package_root_class(self):
+        # the CLI catches sentepi.StallError without importing epi
+        assert epi.StallError is sentepi.StallError
+
+    def test_stall_error_survives_pickling(self):
+        # sweep workers send it to the parent process
+        back = pickle.loads(pickle.dumps(StallError("stalled", 0.25, 0.5)))
+        assert (type(back), str(back), back.best_r, back.target_r) == (
+            StallError, "stalled", 0.25, 0.5
+        )
 
     def test_stall_raises_with_best_r(self):
         # a 4-node path cannot reach r ~ 1 at coverage 1/2

@@ -7,6 +7,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ import sentepi.stats
 from sentepi.stats import (
     RandomStream,
     _average_ranks,
+    _t_two_sided,
     derive_stream,
     fisher_exact_2x2,
     index_edges,
@@ -65,6 +67,20 @@ class TestWeightedPearson:
         ref = scipy.stats.pearsonr(x, y)
         assert r == pytest.approx(ref.statistic, abs=1e-12)
         assert p == pytest.approx(ref.pvalue, rel=1e-9)
+
+    def test_t_tail_matches_scipy_stdtr(self):
+        # Range tested: nu 1..100, |t| 1e-4..1e3. The lgamma terms lose
+        # relative accuracy as nu grows (2e-12 up to nu = 1000).
+        worst = 0.0
+        for nu in range(1, 101):
+            for t in np.logspace(-4, 3, 60):
+                ref = 2.0 * float(scipy.special.stdtr(nu, -t))
+                for signed in (t, -t):
+                    worst = max(worst, abs(_t_two_sided(float(signed), nu) - ref) / ref)
+        assert worst <= 1e-12, worst
+
+    def test_t_tail_at_zero_is_exactly_one(self):
+        assert all(_t_two_sided(0.0, nu) == 1.0 for nu in (1, 2, 7, 100))
 
     def test_errors(self):
         with pytest.raises(ValueError):
