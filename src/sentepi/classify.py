@@ -51,9 +51,9 @@ class _Csr:
     Row r holds ``data[indptr[r]:indptr[r + 1]]`` at the columns
     ``indices[indptr[r]:indptr[r + 1]]``, ascending within the row;
     ``rows`` gives each nonzero's row and ``n_cols`` the vocabulary size.
-    Both products add each output's terms in nonzero order, as the
-    sparse-matrix kernels :func:`train_maxent` uses do, so the two give
-    the same bits.
+    Prediction multiplies it here; the MaxEnt objective multiplies
+    :func:`_sparse` of it, whose kernels run several times faster on a
+    training set but cost scipy's import.
     """
 
     data: np.ndarray  # float64
@@ -62,31 +62,25 @@ class _Csr:
     rows: np.ndarray  # intp
     n_cols: int
 
-    __array_ufunc__ = None  # ``dense @ X`` comes to __rmatmul__
-
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.indptr) - 1, self.n_cols
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
-        """``X @ dense`` for a (V, K) array, C-ordered: a reduction over
-        its rows then adds in the same order as on the sparse product."""
-        terms = dense.T.take(self.indices, axis=1) * self.data
-        return np.ascontiguousarray(_sum_by_class(self.rows, self.shape[0], terms).T)
-
-    def __rmatmul__(self, dense: np.ndarray) -> np.ndarray:
-        """``dense @ X`` for a (K, n) array."""
-        terms = dense.take(self.rows, axis=1) * self.data
-        return _sum_by_class(self.indices, self.n_cols, terms)
+        """``X @ dense`` for a (V, K) array: one bincount over the K
+        classes' bins laid end to end, each class's terms in nonzero
+        order, which is the order scipy's CSR kernel adds them in."""
+        n, k = self.shape[0], dense.shape[1]
+        terms = dense.T.take(self.indices, axis=1) * self.data  # (K, nnz)
+        ids = (np.arange(k)[:, None] * n + self.rows).ravel()
+        return np.bincount(ids, weights=terms.ravel(), minlength=k * n).reshape(k, n).T
 
 
-def _sum_by_class(bins: np.ndarray, n: int, terms: np.ndarray) -> np.ndarray:
-    """(K, n) array whose [k, b] sums ``terms[k, i]`` over the i with
-    ``bins[i] == b``, in order of i: one bincount over the K classes'
-    bins laid end to end."""
-    k = terms.shape[0]
-    ids = (np.arange(k)[:, None] * n + bins).ravel()
-    return np.bincount(ids, weights=terms.ravel(), minlength=k * n).reshape(k, n)
+def _sparse(X: _Csr):
+    """The same arrays as a ``scipy.sparse.csr_matrix``."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
 def featurize(token_vectors: Sequence[TokenVector], vocabulary: Mapping[str, int]) -> _Csr:
@@ -273,10 +267,12 @@ def maxent_objective(
 
     Returns (objective, grad_weights, grad_bias). The penalty applies to
     the weights only, never the biases. ``X`` is :func:`featurize`'s
-    matrix, or the sparse matrix :func:`train_maxent` makes of it, which
-    gives the same bits faster. Exposed at module level so the gradient
-    can be checked against finite differences.
+    matrix or the :func:`_sparse` one made of it; the products always go
+    through the latter. Exposed at module level so the gradient can be
+    checked against finite differences.
     """
+    if isinstance(X, _Csr):
+        X = _sparse(X)
     n = X.shape[0]
     scores = X @ weights.T + bias  # (n, K)
     shift = scores.max(axis=1, keepdims=True)
@@ -318,13 +314,9 @@ def train_maxent(
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    from scipy import sparse
-
     labels, vocabulary, X, y = _training_set(docs)
     k, v = len(labels), len(vocabulary)
-    # The objective gives the same bits on the _Csr, but its bincount
-    # products run 7-10x slower than the sparse kernels on 10^5 nonzeros.
-    X = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+    X = _sparse(X)  # once, not on every objective call
 
     def evaluate(theta):  # theta is the weights, row by row, then the bias
         obj, grad_w, grad_b = maxent_objective(
