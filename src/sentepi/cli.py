@@ -32,13 +32,12 @@ import platform
 import sys
 from dataclasses import dataclass, fields
 from datetime import date
+from importlib import import_module
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 import click
-import numpy
-import scipy
 
 from . import InputError, StallError, __version__, read_mapping, write_csv, write_text
 from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
@@ -215,7 +214,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_manifest(
-    config: RunConfig, command: str, reads: set[str], consumed: dict[str, str], outputs: list[str]
+    config: RunConfig, command: str, reads: set[str], consumed: dict[str, str], outputs: list[str],
+    libraries: tuple[str, ...],
 ) -> None:
     manifest = {
         "command": command,
@@ -225,8 +225,7 @@ def _write_manifest(
         "versions": {
             "sentepi": __version__,
             "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            **{lib: import_module(lib).__version__ for lib in libraries},
         },
         "outputs": {name: _sha256(config.out / name) for name in outputs},
     }
@@ -305,12 +304,7 @@ _workers_option = click.option(
 
 
 def _resolve(config_path: Path | None, seed: int | None, out: Path | None) -> RunConfig:
-    overrides: dict[str, object] = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if out is not None:
-        overrides["out"] = out
-    config = load_config(config_path, overrides)
+    config = load_config(config_path, {"seed": seed, "out": out})
     config.out.mkdir(parents=True, exist_ok=True)
     return config
 
@@ -326,6 +320,7 @@ def _stage(
     inputs: tuple[str, ...] = (),
     upstream: str | Callable[[RunConfig], str | None] | None = None,
     workers: bool = False,
+    libraries: tuple[str, ...] = ("numpy",),
 ):
     """Register the decorated body as the pipeline stage command ``name``.
 
@@ -334,7 +329,10 @@ def _stage(
     the files it wrote in ``out``. ``inputs`` are the config keys naming
     files the stage requires; ``upstream`` is the stage whose outputs it
     consumes, or a function of the config giving it (None: no upstream).
-    ``--force`` is offered only to stages with an upstream.
+    ``--force`` is offered only to stages with an upstream. The manifest
+    records the version of each of the ``libraries`` the stage uses; they
+    are named here, not read from ``sys.modules``, so that a manifest does
+    not depend on what its process ran before.
     """
 
     def register(body):
@@ -350,7 +348,7 @@ def _stage(
                 raise click.UsageError(str(exc)) from exc
             except (ValueError, ArithmeticError, StallError) as exc:
                 raise click.ClickException(str(exc)) from exc
-            _write_manifest(config, name, reads.keys, consumed, outputs)
+            _write_manifest(config, name, reads.keys, consumed, outputs, libraries)
 
         _STAGES[name] = (inputs, upstream if callable(upstream) else lambda config: upstream)
 
@@ -366,7 +364,7 @@ def _stage(
     return register
 
 
-@_stage("train", inputs=("tweets", "labels"))
+@_stage("train", inputs=("tweets", "labels"), libraries=("numpy", "scipy"))
 def train(config: RunConfig) -> list[str]:
     """Train the sentiment ensemble on the labeled tweets."""
     from . import classify
@@ -461,11 +459,11 @@ def timeseries_cmd(config: RunConfig) -> list[str]:
         _require_inputs(config, "coverage_table")
         coverage = read_mapping(
             config.coverage_table, ["region", "coverage"],
-            lambda region, value: (region.strip(), float(value)),
-            "region,coverage with a numeric coverage",
+            lambda region, value: (region.strip(), _finite(value)),
+            "region,coverage with a finite numeric coverage",
         )
         r, p = timeseries.regional_correlation(scores, coverage)
-        n_regions = sum(not rs.empty and rs.region in coverage for rs in scores)
+        n_regions = sum(rs.region in coverage for rs in scores)
         corr_path = config.out / "regional_correlation.json"
         _write_json(corr_path, {"weighted_r": r, "p_value": p, "n_regions": n_regions})
         outputs.append(corr_path.name)

@@ -16,7 +16,7 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from . import InputError, read_csv, read_mapping, write_csv
+from . import InputError, _name, read_csv, read_mapping, write_csv
 from .corpus import SentimentLabel, Tally, Tweet, tally_by
 from .stats import index_edges, largest_component
 
@@ -144,8 +144,7 @@ def read_adjacency(lines: IO | Iterable[str]) -> dict[str, set[str]]:
             continue
         user, colon, rest = line.partition(":")
         if not colon:
-            name = getattr(lines, "name", "<adjacency>")
-            raise InputError(f"{name}:{lineno}: expected user_id: ids, got {line!r}")
+            raise InputError(f"{_name(lines)}:{lineno}: expected user_id: ids, got {line!r}")
         ids = {part.strip() for part in rest.split(",") if part.strip()}
         out.setdefault(user.strip(), set()).update(ids)
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "bootstrap_null",
     "in_fraction_test",
     "detect_communities",
-    "modularity",
     "community_enrichment",
     "write_null_distribution_csv",
     "write_communities_csv",
@@ -128,16 +127,22 @@ def _resample_codes(multiset: np.ndarray, gen: np.random.Generator) -> np.ndarra
     return multiset[gen.integers(0, multiset.size, size=multiset.size)]
 
 
+def _replicates(
+    multiset: np.ndarray, stream: RandomStream, start: int, stop: int
+) -> Iterator[np.ndarray]:
+    """Resampled type codes of replicates ``start`` to ``stop - 1``.
+    Replicate i draws from ``stream.child(i)``, so it is the same however
+    the replicates are split into chunks."""
+    for i in range(start, stop):
+        yield _resample_codes(multiset, stream.child(i).generator())
+
+
 def _null_chunk(args) -> np.ndarray:
-    multiset, src, dst, k, stream, i_start, i_stop = args
-    values = np.empty(i_stop - i_start, dtype=float)
-    for i in range(i_start, i_stop):
-        gen = stream.child(i).generator()
-        replicate = _resample_codes(multiset, gen)
-        values[i - i_start] = _assortativity_from_codes(
-            replicate[src], replicate[dst], k
-        ).r
-    return values
+    multiset, src, dst, k, stream, start, stop = args
+    return np.array([
+        _assortativity_from_codes(replicate[src], replicate[dst], k).r
+        for replicate in _replicates(multiset, stream, start, stop)
+    ], dtype=float)
 
 
 def bootstrap_null(
@@ -217,9 +222,8 @@ def in_fraction_test(
     multiset = np.sort(codes)
     p_values = np.empty(iterations, dtype=float)
     replicate_means = np.empty(iterations, dtype=float)
-    for i in range(iterations):
-        gen = stream.child(i).generator()
-        replicate = fractions(_resample_codes(multiset, gen))
+    for i, codes in enumerate(_replicates(multiset, stream, 0, iterations)):
+        replicate = fractions(codes)
         replicate_means[i] = float(replicate.mean())
         p_values[i] = wilcoxon_signed_rank_paired(original, replicate)
     return InFractionTest(
@@ -352,29 +356,6 @@ def _renumber(node_list: list, assignment: list[int]) -> dict:
         members.setdefault(c, []).append(node)
     ordered = sorted(members.values(), key=lambda ms: (-len(ms), min(ms)))
     return {node: cid for cid, ms in enumerate(ordered) for node in ms}
-
-
-def modularity(
-    partition: Mapping[Hashable, int],
-    edges: Sequence[tuple[Hashable, Hashable]],
-) -> float:
-    """Newman modularity of a partition on the undirected simple projection."""
-    node_list, simple_edges = _undirected_projection(partition.keys(), edges)
-    m = len(simple_edges)
-    if m == 0:
-        return 0.0
-    comm = [partition[node] for node in node_list]
-    intra: dict[int, int] = {}
-    deg: dict[int, int] = {}
-    for i, j in simple_edges:
-        ci, cj = comm[i], comm[j]
-        deg[ci] = deg.get(ci, 0) + 1
-        deg[cj] = deg.get(cj, 0) + 1
-        if ci == cj:
-            intra[ci] = intra.get(ci, 0) + 1
-    return sum(
-        intra.get(c, 0) / m - (deg.get(c, 0) / (2 * m)) ** 2 for c in set(comm)
-    )
 
 
 # --- enrichment -----------------------------------------------------------

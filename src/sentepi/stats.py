@@ -141,8 +141,8 @@ def weighted_pearson(x, y, w) -> tuple[float, float]:
     Student-t distribution with n - 2 degrees of freedom, where n is the
     (unweighted) number of points.
 
-    Raises ValueError for fewer than 3 points, non-positive weights, or
-    zero weighted variance in either variable.
+    Raises ValueError for fewer than 3 points, a non-finite value,
+    non-positive weights, or zero weighted variance in either variable.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -152,6 +152,8 @@ def weighted_pearson(x, y, w) -> tuple[float, float]:
     n = x.size
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
+    if not np.isfinite([x, y, w]).all():
+        raise ValueError("x, y and w must be finite")
     if np.any(w <= 0):
         raise ValueError("all weights must be positive")
 

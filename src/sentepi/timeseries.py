@@ -1,8 +1,9 @@
 """Daily sentiment aggregation, smoothing, and regional correlation.
 
 The sentiment score of a tally (n_pos, n_neg, n_neu) is
-(n_pos - n_neg) / (n_pos + n_neg + n_neu); days or regions with no
-relevant tweets carry an empty marker rather than a zero score.
+(n_pos - n_neg) / (n_pos + n_neg + n_neu); a tally with no relevant
+tweets scores None rather than 0.0, and its day is written with an
+empty score.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .stats import weighted_pearson
 __all__ = [
     "DailyCounts",
     "RegionScore",
-    "NoRelevantTweetsError",
     "sentiment_score",
     "daily_series",
     "moving_average",
@@ -31,22 +31,16 @@ __all__ = [
 ]
 
 
-class NoRelevantTweetsError(ValueError):
-    """Raised when a score is requested for an all-zero tally."""
-
-
-def sentiment_score(n_pos: int, n_neg: int, n_neu: int) -> float:
+def sentiment_score(n_pos: int, n_neg: int, n_neu: int) -> float | None:
     """Relative excess of positive over negative among relevant tweets.
 
-    Raises NoRelevantTweetsError on an all-zero tally so that "no data"
-    stays distinguishable from a genuine 0.0.
+    None marks "no relevant tweets" (an all-zero tally), which stays
+    distinguishable from a genuine 0.0.
     """
     if min(n_pos, n_neg, n_neu) < 0:
         raise ValueError("counts must be non-negative")
     total = n_pos + n_neg + n_neu
-    if total == 0:
-        raise NoRelevantTweetsError("no relevant tweets to score")
-    return (n_pos - n_neg) / total
+    return (n_pos - n_neg) / total if total else None
 
 
 @dataclass(frozen=True)
@@ -61,23 +55,17 @@ class DailyCounts:
     @property
     def score(self) -> float | None:
         """Sentiment score, or None on days without relevant tweets."""
-        if self.n_pos + self.n_neg + self.n_neu == 0:
-            return None
         return sentiment_score(self.n_pos, self.n_neg, self.n_neu)
 
 
 @dataclass(frozen=True)
 class RegionScore:
-    """Aggregate sentiment of one region; ``empty`` regions score 0 by
-    convention and are excluded from correlations."""
+    """Aggregate sentiment of one region; ``weight`` is its count of
+    relevant tweets, at least 1."""
 
     region: str
     score: float
     weight: int
-
-    @property
-    def empty(self) -> bool:
-        return self.weight == 0
 
 
 def daily_series(
@@ -139,22 +127,16 @@ def regional_correlation(
 ) -> tuple[float, float]:
     """Weighted Pearson correlation of region scores against coverage.
 
-    Weights are the per-region relevant tweet totals. Regions that are
-    empty or missing from ``coverage`` are dropped; fewer than 3
-    remaining regions is an error.
+    Weights are the per-region relevant tweet totals. Regions missing
+    from ``coverage`` are dropped; fewer than 3 remaining regions is an
+    error.
     """
-    xs, ys, ws = [], [], []
-    for rs in scores:
-        if rs.empty or rs.region not in coverage:
-            continue
-        xs.append(rs.score)
-        ys.append(float(coverage[rs.region]))
-        ws.append(float(rs.weight))
-    if len(xs) < 3:
-        raise ValueError(
-            f"need at least 3 overlapping regions with data, got {len(xs)}"
-        )
-    return weighted_pearson(xs, ys, ws)
+    used = [rs for rs in scores if rs.region in coverage]
+    if len(used) < 3:
+        raise ValueError(f"need at least 3 overlapping regions with data, got {len(used)}")
+    return weighted_pearson(
+        [rs.score for rs in used], [coverage[rs.region] for rs in used], [rs.weight for rs in used]
+    )
 
 
 def write_daily_counts_csv(path: str | Path, series: Sequence[DailyCounts]) -> None:

@@ -449,7 +449,6 @@ class TestErrorHandling:
     def test_non_numeric_coverage_is_usage_error(self, tmp_path):
         data = write_pipeline_fixture(tmp_path / "d", seed=10, n_users=30, n_tweets=200)
         coverage = tmp_path / "coverage.csv"
-        coverage.write_text("region,coverage\nR01,0.5\nR02,abc\n")
         config = tmp_path / "c.conf"
         config.write_text(
             f"seed = 1\nout = {tmp_path / 'o'}\ntweets = {data['tweets']}\n"
@@ -458,9 +457,12 @@ class TestErrorHandling:
         )
         for stage in ("train", "classify"):
             assert _run([stage, "--config", str(config)]).exit_code == 0
-        result = _run(["timeseries", "--config", str(config)])
-        assert result.exit_code == 2
-        assert f"{coverage}:3:" in result.output
+        # float() reads nan and inf, and a NaN coverage once gave r = 1 with p = 0
+        for value in ("abc", "nan", "inf", "-inf"):
+            coverage.write_text(f"region,coverage\nR01,0.5\nR02,{value}\n")
+            result = _run(["timeseries", "--config", str(config)])
+            assert result.exit_code == 2, value
+            assert f"{coverage}:3:" in result.output, value
 
 
 class TestStageProtocol:
@@ -726,7 +728,6 @@ class TestSeedOverride:
 _STAGE_MODULES = {
     f"sentepi.{name}" for name in ("classify", "epi", "flownet", "homophily", "synthetic", "timeseries")
 }
-_SCIPY_KERNELS = ("scipy.sparse", "scipy.special")
 
 
 def _imported_modules(*args):
@@ -742,11 +743,16 @@ def _imported_modules(*args):
             if line.startswith("import time:")]
 
 
+def _scipy(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
 def test_importing_the_cli_loads_no_scipy_sparse_or_special():
-    # Each stage body imports its own modules; importing the CLI loads none.
+    # Each stage body imports its own modules; importing the CLI loads none,
+    # and no scipy module either.
     modules = _imported_modules("-c", "import sentepi.cli")
     assert "sentepi.cli" in modules
-    assert not [m for m in modules if m.startswith(_SCIPY_KERNELS)]
+    assert not _scipy(modules)
     assert not _STAGE_MODULES.intersection(modules)
 
 
@@ -754,10 +760,27 @@ def test_importing_the_cli_loads_no_scipy_sparse_or_special():
 def test_classify_and_timeseries_processes_load_no_scipy_sparse_or_special(
     run_copy, pipeline_dir, stage
 ):
-    # Only train needs scipy.sparse (the MaxEnt fit); no stage needs scipy.special.
+    # Only train loads scipy (scipy.sparse, for the MaxEnt fit).
     modules = _imported_modules(
         "-m", "sentepi.cli", stage, "--config", str(pipeline_dir["config"]),
         "--out", str(run_copy.out),
     )
     assert f"sentepi.{stage}" in modules
-    assert not [m for m in modules if m.startswith(_SCIPY_KERNELS)]
+    assert not _scipy(modules)
+
+
+@pytest.mark.parametrize(
+    "stage, libraries", [("train", {"numpy", "scipy"}), ("classify", {"numpy"})], ids=["train", "classify"]
+)
+def test_a_manifest_records_the_versions_of_the_libraries_its_stage_uses(
+    run_copy, pipeline_dir, finished_out, stage, libraries
+):
+    modules = _imported_modules(
+        "-m", "sentepi.cli", stage, "--config", str(pipeline_dir["config"]),
+        "--out", str(run_copy.out),
+    )
+    assert bool(_scipy(modules)) == ("scipy" in libraries)
+    manifest = (run_copy.out / f"manifest_{stage}.json").read_bytes()
+    assert set(json.loads(manifest)["versions"]) == {"sentepi", "python", *libraries}
+    # A fresh process writes the bytes of the in-process run, which ran train first.
+    assert manifest == (finished_out / f"manifest_{stage}.json").read_bytes()

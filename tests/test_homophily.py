@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,14 +9,14 @@ from sentepi.homophily import (
     _assortativity_from_codes,
     _code_edges,
     _in_fractions,
+    _undirected_projection,
     assortativity,
     bootstrap_null,
     community_enrichment,
     detect_communities,
     in_fraction_test,
-    modularity,
 )
-from sentepi.stats import derive_stream
+from sentepi.stats import derive_stream, wilcoxon_signed_rank_paired
 from sentepi.synthetic import synthetic_opinionated_network
 
 
@@ -178,6 +180,64 @@ class TestBootstrapNull:
         assert null.max == ordered[-1]
 
 
+# Exact oracles for the two label-bootstrap nulls. On ten nodes every
+# replicate is one of 2^10 type-code vectors; with six positive nodes each
+# node is positive with probability 0.6 independently, so the exact law of
+# any replicate statistic is a weighted sum over the 1024 vectors.
+_ORACLE_LABELS = {i: 1 if i < 6 else -1 for i in range(10)}
+_ORACLE_EDGES_14 = [
+    (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7),
+    (7, 8), (8, 9), (9, 6), (0, 6), (7, 3), (5, 9), (8, 1),
+]
+_ORACLE_EDGES_20 = _ORACLE_EDGES_14 + [(1, 0), (2, 4), (4, 2), (9, 8), (6, 9), (3, 8)]
+_ORACLE_REPLICATES = 10_000
+
+
+def _exact_replicates():
+    """(type codes, probability) of every replicate; code 1 is positive."""
+    for codes in itertools.product((0, 1), repeat=10):
+        k = sum(codes)
+        yield np.array(codes), 0.6**k * 0.4 ** (10 - k)
+
+
+class TestExactNullOracles:
+    def test_bootstrap_null_matches_the_exact_distribution(self):
+        atoms = {}  # r, rounded to join equal values of two formulas -> probability
+        for codes, prob in _exact_replicates():
+            labels = dict(enumerate(codes.tolist()))
+            one_type = len(set(labels.values())) == 1
+            r = round(1.0 if one_type else brute_force_assortativity(labels, _ORACLE_EDGES_14), 9)
+            atoms[r] = atoms.get(r, 0.0) + prob
+        null = bootstrap_null(
+            _ORACLE_LABELS, _ORACLE_EDGES_14, _ORACLE_REPLICATES, derive_stream(71)
+        )
+        seen = dict(zip(*np.unique(np.round(null.values, 9), return_counts=True)))
+        assert set(seen) <= set(atoms)
+        keys = sorted(atoms)
+        observed = np.array([seen.get(r, 0) for r in keys], dtype=float)
+        expected = np.array([atoms[r] for r in keys]) * _ORACLE_REPLICATES
+        # The chi-squared law needs every cell expected at least 5 times; on this
+        # graph no atom falls short (the least likely is expected 15.9 times).
+        assert expected.min() >= 5
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < scipy.stats.chi2.isf(1e-6, expected.size - 1)
+
+    def test_in_fraction_test_significance_rate_matches_the_exact_rate(self):
+        codes, src, dst, _ = _code_edges(_ORACLE_LABELS, _ORACLE_EDGES_20)
+        fractions, _ = _in_fractions(src, dst, codes.size)
+        original = fractions(codes)
+        exact = sum(
+            prob for replicate, prob in _exact_replicates()
+            if wilcoxon_signed_rank_paired(original, fractions(replicate)) < 0.05
+        )
+        assert exact == pytest.approx(0.3967377408, abs=1e-9)
+        result = in_fraction_test(
+            _ORACLE_LABELS, _ORACLE_EDGES_20, _ORACLE_REPLICATES, derive_stream(72)
+        )
+        se = (exact * (1 - exact) / _ORACLE_REPLICATES) ** 0.5
+        assert abs(result.fraction_significant - exact) < 3.3 * se
+
+
 def in_fractions_by_node(labels, edges):
     """Node -> the ``_in_fractions`` value that ``in_fraction_test`` sees;
     nodes with no incoming edges are absent."""
@@ -245,6 +305,26 @@ class TestInFractionTest:
         a = in_fraction_test(signs, edges, 30, derive_stream(8))
         b = in_fraction_test(signs, edges, 30, derive_stream(8))
         assert np.array_equal(a.p_values, b.p_values)
+
+
+def modularity(partition, edges):
+    """Newman modularity of a partition on the undirected simple projection."""
+    node_list, simple_edges = _undirected_projection(partition.keys(), edges)
+    m = len(simple_edges)
+    if m == 0:
+        return 0.0
+    comm = [partition[node] for node in node_list]
+    intra: dict[int, int] = {}
+    deg: dict[int, int] = {}
+    for i, j in simple_edges:
+        ci, cj = comm[i], comm[j]
+        deg[ci] = deg.get(ci, 0) + 1
+        deg[cj] = deg.get(cj, 0) + 1
+        if ci == cj:
+            intra[ci] = intra.get(ci, 0) + 1
+    return sum(
+        intra.get(c, 0) / m - (deg.get(c, 0) / (2 * m)) ** 2 for c in set(comm)
+    )
 
 
 def _two_cliques(k=10):

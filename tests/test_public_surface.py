@@ -18,7 +18,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 # Exported with no caller outside the tests, on purpose: name -> why.
 ALLOWED = {
-    "homophily.modularity": "the Louvain tests' oracle, until a stage records modularity",
     "synthetic.synthetic_corpus": "builds test inputs; synthetic is the test-data module",
     "synthetic.synthetic_opinionated_network": "builds test inputs, as synthetic_corpus",
 }

@@ -90,6 +90,15 @@ class TestWeightedPearson:
         with pytest.raises(ValueError):
             weighted_pearson([1, 2, 3], [1, 2, 3], [1, 0, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", range(3), ids=["x", "y", "w"])
+    def test_non_finite_value_rejected(self, column, bad):
+        # A NaN once passed through the [-1, 1] clamp as r = 1 with p = 0.
+        columns = [[1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0], [1.0, 1.0, 1.0, 1.0]]
+        columns[column][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            weighted_pearson(*columns)
+
     @given(
         st.lists(
             st.tuples(
