@@ -51,9 +51,11 @@ class _Csr:
     Row r holds ``data[indptr[r]:indptr[r + 1]]`` at the columns
     ``indices[indptr[r]:indptr[r + 1]]``, ascending within the row;
     ``rows`` gives each nonzero's row and ``n_cols`` the vocabulary size.
-    Prediction multiplies it here; the MaxEnt objective multiplies
+    Prediction multiplies it here, by one model's coefficients or by the
+    ensemble's stack of both; the MaxEnt objective multiplies
     :func:`_sparse` of it, whose kernels run several times faster on a
-    training set but cost scipy's import.
+    training set but cost scipy's import. Both products give (n, K)
+    scores; the objective turns them class-major itself.
     """
 
     data: np.ndarray  # float64
@@ -68,8 +70,10 @@ class _Csr:
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         """``X @ dense`` for a (V, K) array: one bincount over the K
-        classes' bins laid end to end, each class's terms in nonzero
-        order, which is the order scipy's CSR kernel adds them in."""
+        columns' bins laid end to end, each column's terms in nonzero
+        order, which is the order scipy's CSR kernel adds them in. A
+        column's sums do not depend on the other columns, so stacking
+        two models' coefficients changes no score."""
         n, k = self.shape[0], dense.shape[1]
         terms = dense.T.take(self.indices, axis=1) * self.data  # (K, nnz)
         ids = (np.arange(k)[:, None] * n + self.rows).ravel()
@@ -121,15 +125,10 @@ class _LinearClassifier:
         w, b = self._COEFFICIENTS
         return getattr(self, w), getattr(self, b)
 
-    def _scores(self, X: _Csr) -> np.ndarray:
-        W, b = self._coefficients()
-        return X @ W.T + b
-
-    def _labels_of(self, X: _Csr) -> list[SentimentLabel]:
-        return [self.labels[k] for k in np.argmax(self._scores(X), axis=1).tolist()]
-
     def predict_batch(self, token_vectors: Sequence[TokenVector]) -> list[SentimentLabel]:
-        return self._labels_of(featurize(token_vectors, self.vocabulary))
+        W, b = self._coefficients()
+        scores = featurize(token_vectors, self.vocabulary) @ W.T + b
+        return [self.labels[k] for k in np.argmax(scores, axis=1).tolist()]
 
     def predict(self, tv: TokenVector) -> SentimentLabel:
         return self.predict_batch([tv])[0]
@@ -175,6 +174,14 @@ class MaxEntModel(_LinearClassifier):
 
 @dataclass
 class EnsembleModel:
+    """Naive Bayes and MaxEnt over one label set and vocabulary.
+
+    Construction stacks ``nb.log_cond`` over ``maxent.weights`` (2K, V)
+    and ``nb.log_priors`` then ``maxent.bias`` (2K,), so prediction is one
+    product whose two K-column halves hold each model's own scores, bit
+    for bit; a changed sub-model needs a new ensemble.
+    """
+
     nb: NaiveBayesModel
     maxent: MaxEntModel
 
@@ -183,17 +190,19 @@ class EnsembleModel:
             raise ValueError("sub-models were trained on different label sets")
         if self.nb.vocabulary != self.maxent.vocabulary:
             raise ValueError("sub-models were trained on different vocabularies")
+        pairs = zip(self.nb._coefficients(), self.maxent._coefficients())
+        self._stacked = [np.concatenate(pair) for pair in pairs]
 
     @property
     def vocabulary(self) -> dict[str, int]:
         return self.nb.vocabulary
 
     def predict_batch(self, token_vectors: Sequence[TokenVector]) -> list[SentimentLabel]:
-        X = featurize(token_vectors, self.vocabulary)
-        return [
-            ensemble_predict(nb_label, me_label)
-            for nb_label, me_label in zip(self.nb._labels_of(X), self.maxent._labels_of(X))
-        ]
+        W, b = self._stacked
+        scores = featurize(token_vectors, self.vocabulary) @ W.T + b
+        best = np.argmax(scores.reshape(len(scores), 2, -1), axis=2)  # (n, [NB, MaxEnt])
+        labels = self.nb.labels
+        return [ensemble_predict(labels[i], labels[j]) for i, j in best.tolist()]
 
     def predict(self, tv: TokenVector) -> SentimentLabel:
         return self.predict_batch([tv])[0]
@@ -270,20 +279,29 @@ def maxent_objective(
     matrix or the :func:`_sparse` one made of it; the products always go
     through the latter. Exposed at module level so the gradient can be
     checked against finite differences.
+
+    Scores, log-probabilities and residuals are class-major (K, n)
+    arrays: numpy reduces over their first axis as K - 1 whole-row ufunc
+    calls, where along the K-wide last axis of an (n, K) array it loops
+    per document. It adds the classes in the same order either way for
+    K < 8 (there are at most four labels), and the residual goes back to
+    (n, K) for the weight product and the bias sum, so every bit equals
+    that of the (n, K) computation.
     """
     if isinstance(X, _Csr):
         X = _sparse(X)
     n = X.shape[0]
-    scores = X @ weights.T + bias  # (n, K)
-    shift = scores.max(axis=1, keepdims=True)
-    log_z = shift[:, 0] + np.log(np.exp(scores - shift).sum(axis=1))
-    log_probs = scores - log_z[:, None]
-    ll = float(log_probs[np.arange(n), y].sum()) - 0.5 * l2 * float((weights**2).sum())
+    scores = np.add((X @ weights.T).T, bias[:, None], order="C")  # (K, n)
+    shift = scores.max(axis=0)
+    log_z = shift + np.log(np.exp(scores - shift).sum(axis=0))
+    log_probs = scores - log_z
+    true_class = y * n + np.arange(n)  # flat index of (y[i], i)
+    ll = float(log_probs.ravel()[true_class].sum()) - 0.5 * l2 * float((weights**2).sum())
 
-    probs = np.exp(log_probs)
-    resid = -probs
-    resid[np.arange(n), y] += 1.0
-    grad_w = (resid.T @ X) - l2 * weights
+    resid = -np.exp(log_probs)
+    resid.ravel()[true_class] += 1.0
+    resid = np.ascontiguousarray(resid.T)  # (n, K)
+    grad_w = (X.T @ resid).T - l2 * weights
     grad_b = resid.sum(axis=0)
     return ll, np.asarray(grad_w), grad_b
 
@@ -414,7 +432,7 @@ def _schema(cls) -> dict[str, type]:
 
 
 def save_ensemble(model: EnsembleModel, path: str | Path) -> None:
-    """Write the ensemble to a versioned JSON file."""
+    """Write the ensemble to a versioned, compact JSON file."""
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "labels": [lab.value for lab in model.nb.labels],
@@ -426,7 +444,7 @@ def save_ensemble(model: EnsembleModel, path: str | Path) -> None:
             name: getattr(sub, name).tolist() if hint is np.ndarray else getattr(sub, name)
             for name, hint in _schema(cls).items()
         }
-    write_text(path, json.dumps(payload, sort_keys=True, indent=1))
+    write_text(path, json.dumps(payload, sort_keys=True))
 
 
 def _expect_fields(data, names) -> None:

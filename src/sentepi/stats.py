@@ -244,10 +244,15 @@ def fisher_exact_2x2(a: int, b: int, c: int, d: int) -> float:
         return 1.0
 
     if n <= _FISHER_EXACT_LIMIT:
-        probs = [
-            math.comb(row1, k) * math.comb(n - row1, col1 - k)
-            for k in range(lo, hi + 1)
-        ]
+        # C(row1, k) * C(n - row1, col1 - k) for k = lo..hi, each binomial
+        # stepped from the one before by an exact multiply and divide
+        rest = n - row1
+        left, right = math.comb(row1, lo), math.comb(rest, col1 - lo)
+        probs = []
+        for k in range(lo, hi + 1):
+            probs.append(left * right)
+            left = left * (row1 - k) // (k + 1)
+            right = right * (col1 - k) // (rest - col1 + k + 1)
         observed = probs[a - lo]
         return sum(p for p in probs if p <= observed) / math.comb(n, col1)
 

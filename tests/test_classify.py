@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from scipy import sparse
 from sentepi.classify import (
     EnsembleModel,
     _Csr,
+    _sparse,
     ensemble_predict,
     evaluate_accuracy,
     featurize,
@@ -152,6 +154,51 @@ class TestCsrProducts:
         assert X.data.tolist() == [2.0, 1.0, 1.0, 1.0, 1.0]
         assert X.indptr.tolist() == [0, 3, 3, 5]
         assert X.rows.tolist() == [0, 0, 0, 2, 2]
+
+
+def _reference_objective(weights, bias, X, y, l2):
+    """``maxent_objective`` as first written, on (n, K) arrays throughout."""
+    if isinstance(X, _Csr):
+        X = _sparse(X)
+    n = X.shape[0]
+    scores = X @ weights.T + bias  # (n, K)
+    shift = scores.max(axis=1, keepdims=True)
+    log_z = shift[:, 0] + np.log(np.exp(scores - shift).sum(axis=1))
+    log_probs = scores - log_z[:, None]
+    ll = float(log_probs[np.arange(n), y].sum()) - 0.5 * l2 * float((weights**2).sum())
+
+    probs = np.exp(log_probs)
+    resid = -probs
+    resid[np.arange(n), y] += 1.0
+    grad_w = (resid.T @ X) - l2 * weights
+    grad_b = resid.sum(axis=0)
+    return ll, np.asarray(grad_w), grad_b
+
+
+class TestObjectiveBits:
+    """The class-major objective against the (n, K) one, bit for bit, and
+    the fitted weights pinned by their sha256."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("l2, scale", [(0.1, 1.0), (0.0, 1.0), (0.1, 30.0)])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_equals_the_row_major_objective(self, k, l2, scale, seed):
+        X, S, gen = TestCsrProducts.random_csr(seed)  # empty rows, one of 300 terms
+        y = gen.integers(0, k, size=X.shape[0])
+        weights = scale * gen.normal(size=(k, X.shape[1]))
+        bias = scale * gen.normal(size=k)
+        for matrix in (X, S):
+            got = maxent_objective(weights, bias, matrix, y, l2)
+            want = _reference_objective(weights, bias, matrix, y, l2)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_fitted_weights_are_pinned(self):
+        corpus = synthetic_corpus(400, derive_stream(29))
+        model = train_maxent([(TokenVector.from_tokens(t), lab) for t, lab in corpus])
+        assert (model.n_iter, model.converged) == (36, True)
+        digest = hashlib.sha256(model.weights.tobytes() + model.bias.tobytes()).hexdigest()
+        assert digest == "12aa3d835c522e839ce49cbdeac8c383306c9a81fd26c6585adbbac6ed18076c"
 
 
 class TestMaxEnt:
@@ -347,6 +394,25 @@ class TestSerialization:
         loaded = load_ensemble(path)
         for x in (tv(), tv("good"), tv("meh"), tv("off")):
             assert loaded.predict(x) == model.predict(x)
+        self.assert_same_parameters(loaded, model)
+
+    @staticmethod
+    def assert_same_parameters(a, b):
+        assert a.vocabulary == b.vocabulary
+        for key, names in (("nb", ("log_priors", "log_cond")), ("maxent", ("weights", "bias"))):
+            for name in names:
+                assert np.array_equal(getattr(getattr(a, key), name),
+                                      getattr(getattr(b, key), name)), (key, name)
+
+    def test_indented_file_still_loads(self, tmp_path):
+        # files were written with indent=1 before they went compact
+        model = self._model()
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_ensemble(model, compact)
+        assert "\n" not in compact.read_text()
+        payload = json.loads(compact.read_text())
+        indented.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        self.assert_same_parameters(load_ensemble(indented), model)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         model = self._model()
@@ -460,3 +526,7 @@ class TestOnSyntheticCorpus:
         nb, me = model.nb, model.maxent
         assert nb.predict_batch(vectors) == per_token_labels(nb, nb.log_cond, nb.log_priors)
         assert me.predict_batch(vectors) == per_token_labels(me, me.weights, me.bias)
+        assert model.predict_batch(vectors) == [
+            ensemble_predict(a, b)
+            for a, b in zip(nb.predict_batch(vectors), me.predict_batch(vectors))
+        ]

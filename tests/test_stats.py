@@ -1,3 +1,4 @@
+import functools
 import importlib
 import inspect
 import math
@@ -127,7 +128,40 @@ class TestWeightedPearson:
         assert r2 == pytest.approx(r, abs=1e-9)
 
 
+@functools.lru_cache(maxsize=4)
+def _table_weights(n, row1, col1):
+    """``C(row1, k) * C(n - row1, col1 - k)`` for each feasible k, with
+    two ``math.comb`` calls per k: the integers ``fisher_exact_2x2``
+    builds by running products."""
+    lo, hi = max(0, col1 - (n - row1)), min(col1, row1)
+    return lo, [math.comb(row1, k) * math.comb(n - row1, col1 - k) for k in range(lo, hi + 1)]
+
+
+def _fisher_exact_reference(a, b, c, d):
+    n, row1, col1 = a + b + c + d, a + b, a + c
+    lo, probs = _table_weights(n, row1, col1)
+    observed = probs[a - lo]
+    return sum(p for p in probs if p <= observed) / math.comb(n, col1)
+
+
 class TestFisherExact:
+    def test_exact_path_equals_the_binomial_formula(self):
+        # n log-uniform up to the exact limit; above n = 1,000 the first
+        # column is log-uniform too, which keeps the reference cheap. Each
+        # table is checked at both ends of its k range and at one k between.
+        gen = derive_stream(13).generator()
+        margins = [(10_000, 5_000, 37), (10_000, 9_990, 12)]
+        for _ in range(80):
+            n = int(round(10 ** gen.uniform(0, 4)))
+            col1 = (int(gen.integers(0, n + 1)) if n <= 1_000
+                    else int(round(10 ** gen.uniform(0, math.log10(n + 1)))) - 1)
+            margins.append((n, int(gen.integers(0, n + 1)), col1))
+        for n, row1, col1 in margins:
+            lo, hi = max(0, col1 - (n - row1)), min(col1, row1)
+            for a in (lo, hi, int(gen.integers(lo, hi + 1))):
+                cells = (a, row1 - a, col1 - a, n - row1 - col1 + a)
+                assert fisher_exact_2x2(*cells) == _fisher_exact_reference(*cells), cells
+
     def test_diagonal_two_by_two(self):
         assert fisher_exact_2x2(2, 0, 0, 2) == 1 / 3
 
