@@ -14,13 +14,14 @@ written) match.
 
 Exit codes: 0 success, 1 runtime failure (one ``Error:`` line, such as
 a model file that is not a model), 2 usage or configuration error,
-including a config value out of range, a ``start_date`` after the last
-labeled tweet or an ``end_date`` before the first, a malformed row in
-the labels file, the coverage table, the contact network, an adjacency
-list or an intermediate file, and a key repeated in the labels file, the
-coverage table or an intermediate file (each reported as
-``path:line:``). Text inputs are decoded as UTF-8 with invalid bytes
-read as U+FFFD.
+including an unknown config key or a config value that cannot be read or
+is out of range, a ``start_date`` after the last labeled tweet or an
+``end_date`` before the first, a malformed row in the labels file, the
+coverage table, the contact network, an adjacency list or an
+intermediate file, and a key repeated in the labels file, the coverage
+table or an intermediate file (each reported as ``path:line:``, a config
+value when it comes from the file). Text inputs are decoded as UTF-8
+with invalid bytes read as U+FFFD.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import math
 import platform
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date
 from importlib import import_module
 from pathlib import Path
@@ -142,6 +143,7 @@ def _reader(hint) -> Callable[[object], object]:
 
 _READERS = {key: _reader(hint) for key, hint in get_type_hints(RunConfig).items()}
 _RANGES = {
+    "seed": (lambda value: value >= 0, "non-negative"),
     "coverage": (lambda value: 0 < value < 1, "in (0, 1)"),
     "test_split": (lambda value: 0 <= value < 1, "in [0, 1)"),
     "r_grid": (lambda grid: grid and all(a < b for a, b in zip(grid, grid[1:])),
@@ -158,8 +160,11 @@ _RANGES = {
 
 
 def load_config(path: Path | None, overrides: dict) -> RunConfig:
-    """Read the flat key = value file and apply flag overrides."""
+    """Read the flat key = value file (a repeated key keeps its last value)
+    and apply flag overrides; an unknown key, or a value that cannot be read
+    or is out of range, names the file line it came from as ``path:line:``."""
     values: dict[str, object] = {}
+    where: dict[str, str] = {}  # key -> "path:line: " of a value read from the file
     if path is not None:
         if not path.is_file():
             problem = "config is not a file" if path.exists() else "config file not found"
@@ -169,29 +174,31 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise click.UsageError(f"{path}:{lineno}: expected key = value")
-            values[key.strip()] = value.strip()
-    values.update({k: v for k, v in overrides.items() if v is not None})
-
-    known = {fld.name for fld in fields(RunConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise click.UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "seed" not in values:
-        raise click.UsageError("config must set a master seed (seed = <int>)")
+            values[key], where[key] = value, f"{path}:{lineno}: "
+    for key, value in overrides.items():
+        if value is not None:
+            values[key] = value
+            where.pop(key, None)
 
     kwargs: dict[str, object] = {}
     for key, value in values.items():
+        at = where.get(key, "")
+        if key not in _READERS:
+            raise click.UsageError(f"{at}unknown config key {key!r}")
         try:
             kwargs[key] = _READERS[key](value)
         except ValueError:
-            raise click.UsageError(f"bad value for {key}: {value!r}") from None
+            raise click.UsageError(f"{at}bad value for {key}: {value!r}") from None
+        except click.UsageError as exc:  # r_grid's reader says what is wrong
+            raise click.UsageError(at + exc.message) from None
+        if key in _RANGES and not _RANGES[key][0](kwargs[key]):
+            raise click.UsageError(f"{at}{key} must be {_RANGES[key][1]}, got {kwargs[key]!r}")
+    if "seed" not in kwargs:
+        raise click.UsageError("config must set a master seed (seed = <int>)")
     config = RunConfig(**kwargs)  # type: ignore[arg-type]
-    for key, (valid, allowed) in _RANGES.items():
-        if not valid(getattr(config, key)):
-            raise click.UsageError(f"{key} must be {allowed}, got {getattr(config, key)!r}")
     if config.start_date and config.end_date and config.start_date > config.end_date:
         raise click.UsageError(
             f"start_date must not be after end_date, got {config.start_date} > {config.end_date}"

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Hashable, Iterable
 
-from . import read_mapping
+from . import _name, read_mapping
 from .stemming import stem
 
 logger = logging.getLogger(__name__)
@@ -93,8 +93,9 @@ class TokenVector:
 def parse_tweets(lines: IO | Iterable[str]) -> tuple[list[Tweet], int]:
     """Parse JSON-lines tweets, skipping malformed lines with a warning.
 
-    Returns (tweets in input order, number of skipped lines). Duplicate
-    ids are rejected: the later line is skipped. Blank lines are ignored.
+    Returns (tweets in input order, number of skipped lines). A line that
+    :func:`_parse_tweet` rejects, or that repeats an earlier line's id, is
+    skipped and logged as ``name:line: reason``. Blank lines are ignored.
     Raises OSError only if ``lines`` itself cannot be read.
     """
     tweets: list[Tweet] = []
@@ -104,12 +105,13 @@ def parse_tweets(lines: IO | Iterable[str]) -> tuple[list[Tweet], int]:
         line = raw.strip()
         if not line:
             continue
-        tweet = _parse_tweet_line(line, lineno)
-        if tweet is None:
-            skipped += 1
-            continue
-        if tweet.id in seen_ids:
-            logger.warning("line %d: duplicate tweet id %r, skipped", lineno, tweet.id)
+        try:
+            tweet = _parse_tweet(line)
+            if tweet.id in seen_ids:
+                raise ValueError(f"duplicate tweet id {tweet.id!r}")
+        except (ValueError, OverflowError) as exc:
+            reason = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else exc
+            logger.warning("%s:%d: %s, skipped", _name(lines), lineno, reason)
             skipped += 1
             continue
         seen_ids.add(tweet.id)
@@ -117,47 +119,35 @@ def parse_tweets(lines: IO | Iterable[str]) -> tuple[list[Tweet], int]:
     return tweets, skipped
 
 
-def _parse_tweet_line(line: str, lineno: int) -> Tweet | None:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        logger.warning("line %d: invalid JSON (%s), skipped", lineno, exc.msg)
-        return None
-    if not isinstance(record, dict):
-        logger.warning("line %d: record is not an object, skipped", lineno)
-        return None
-    try:
-        tweet_id = str(record["id"])
-        user_id = str(record["user_id"])
-        timestamp = _parse_timestamp(str(record["timestamp"]))
-        text = str(record["text"])
-    except KeyError as exc:
-        logger.warning("line %d: missing field %s, skipped", lineno, exc)
-        return None
-    except ValueError as exc:
-        logger.warning("line %d: %s, skipped", lineno, exc)
-        return None
-    region = record.get("region")
+# The JSON types each field may hold (``type(x) in`` keeps out true and
+# false, which are ints to Python); a missing region reads as null.
+_FIELD_TYPES = {"id": (str, int), "user_id": (str, int), "timestamp": (str,), "text": (str,),
+                "region": (str, type(None))}
+_JSON_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean",
+               type(None): "null", list: "array", dict: "object"}
+
+
+def _parse_tweet(line: str) -> Tweet:
+    """The tweet on one JSON line; raises ValueError naming the problem, or
+    OverflowError for a timestamp that UTC cannot hold."""
+    record = json.loads(line)
+    if type(record) is not dict:
+        raise ValueError(f"expected a JSON object, got {_JSON_NAMES[type(record)]}")
+    for key, types in _FIELD_TYPES.items():
+        if type(record.get(key)) not in types:
+            if key not in record:
+                raise ValueError(f"missing field {key!r}")
+            allowed = " or ".join(_JSON_NAMES[t] for t in types)
+            raise ValueError(f"{key} must be {allowed}, got {_JSON_NAMES[type(record[key])]}")
+    text = record["timestamp"].strip()
+    ts = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text)
     return Tweet(
-        id=tweet_id,
-        user_id=user_id,
-        timestamp=timestamp,
-        text=text,
-        region=str(region) if region is not None else None,
+        id=str(record["id"]),
+        user_id=str(record["user_id"]),
+        timestamp=ts.astimezone(timezone.utc) if ts.tzinfo else ts.replace(tzinfo=timezone.utc),
+        text=record["text"],
+        region=record.get("region"),
     )
-
-
-def _parse_timestamp(value: str) -> datetime:
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    try:
-        ts = datetime.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"unparseable timestamp {value!r}") from None
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 def parse_labels(source: str | Path | Iterable[str]) -> dict[str, SentimentLabel]:

@@ -352,7 +352,6 @@ class R0Estimate:
 
 def estimate_r0(
     net: ContactNetwork,
-    params: SEIRParams = SEIRParams(),
     runs: int = 1000,
     *,
     stream: RandomStream,
@@ -368,7 +367,7 @@ def estimate_r0(
     vac = VaccinationAssignment(np.zeros(net.n, dtype=bool))
     secondary = []
     for i in range(runs):
-        result = run_seir(net, vac, params, stream=stream.child(i), _index_only=True)
+        result = run_seir(net, vac, stream=stream.child(i), _index_only=True)
         if result.secondary_from_index >= 1:
             secondary.append(result.secondary_from_index)
     if not secondary:
@@ -483,6 +482,10 @@ def redistribute(
                     )
 
 
+# The attack rates that p_ge_3pct and p_ge_5pct (and rr_3pct, rr_5pct) count.
+_ATTACK_THRESHOLDS = (0.03, 0.05)
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     target_r: float
@@ -507,7 +510,6 @@ class SweepReport:
     points: tuple[SweepPoint, ...]
     coverage: float
     redistributions_per_r: int
-    attack_thresholds: tuple[float, float] = (0.03, 0.05)
 
 
 def default_r_grid() -> list[float]:
@@ -516,8 +518,7 @@ def default_r_grid() -> list[float]:
 
 
 def _sweep_chunk(args):
-    (net, coverage, target_r, grid_index, stream, params, max_stall,
-     j_start, j_stop) = args
+    net, coverage, target_r, grid_index, stream, max_stall, j_start, j_stop = args
     rows = []
     for j in range(j_start, j_stop):
         vac = random_assignment(net, coverage, stream.child(grid_index, j, 0))
@@ -532,7 +533,7 @@ def _sweep_chunk(args):
                 best_r=exc.best_r,
                 target_r=target_r,
             ) from None
-        result = run_seir(net, vac, params, stream=stream.child(grid_index, j, 2))
+        result = run_seir(net, vac, stream=stream.child(grid_index, j, 2))
         rows.append((j, vaccination_assortativity(net, vac), result.attack_rate))
     return grid_index, rows
 
@@ -543,7 +544,6 @@ def sweep(
     r_grid: Sequence[float],
     redistributions_per_r: int,
     stream: RandomStream,
-    params: SEIRParams = SEIRParams(),
     workers: int = 1,
     max_stall: int = 50_000,
 ) -> SweepReport:
@@ -563,15 +563,11 @@ def sweep(
     if redistributions_per_r < 1:
         raise ValueError("redistributions_per_r must be at least 1")
 
-    heads = [
-        (net, coverage, target, gi, stream, params, max_stall)
-        for gi, target in enumerate(grid)
-    ]
+    heads = [(net, coverage, target, gi, stream, max_stall) for gi, target in enumerate(grid)]
     per_point: list[list[tuple[int, float, float]]] = [[] for _ in grid]
     for gi, rows in map_chunks(_sweep_chunk, heads, redistributions_per_r, workers):
         per_point[gi].extend(rows)
 
-    thresholds = SweepReport.attack_thresholds
     points = []
     baseline: tuple[float, float] | None = None
     for gi, target in enumerate(grid):
@@ -579,8 +575,7 @@ def sweep(
         achieved = np.array([row[1] for row in rows])
         attacks = np.array([row[2] for row in rows])
         runs = attacks.size
-        hits3 = int((attacks >= thresholds[0]).sum())
-        hits5 = int((attacks >= thresholds[1]).sum())
+        hits3, hits5 = (int((attacks >= t).sum()) for t in _ATTACK_THRESHOLDS)
         p3, p5 = hits3 / runs, hits5 / runs
         if baseline is None:
             baseline = (p3, p5)

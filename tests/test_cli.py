@@ -277,7 +277,7 @@ class TestErrorHandling:
         config.write_text("seed = 1\nbogus_key = 2\n")
         result = _run(["train", "--config", str(config)])
         assert result.exit_code == 2
-        assert "bogus_key" in result.output
+        assert f"{config}:2: unknown config key 'bogus_key'" in result.output
 
     def test_corrupt_model_is_runtime_failure(self, tmp_path):
         data = write_pipeline_fixture(tmp_path / "d", seed=6, n_users=20, n_tweets=80)
@@ -372,6 +372,15 @@ class TestErrorHandling:
         assert result.exit_code == 0, result.output
         assert "skipped" not in result.output
 
+    def test_null_text_is_skipped_and_counted(self, tmp_path):
+        data, config = self._small_run(tmp_path, seed=6)
+        with open(data["tweets"], "a") as fh:
+            fh.write('{"id": "tx", "user_id": "u1", "timestamp": "2009-10-02T08:30:00Z", '
+                     '"text": null}\n')
+        result = _run(["train", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert "skipped 1 malformed tweet line(s)" in result.output
+
     def test_invalid_utf8_in_the_config_is_replaced_not_a_traceback(self, tmp_path):
         _, config = self._small_run(tmp_path, seed=6)
         # in a comment the byte changes nothing...
@@ -413,7 +422,7 @@ class TestErrorHandling:
             "in_fraction_iterations = -1", "runs_per_r = 0",
             "coverage = 0", "coverage = 1", "max_stall = 0", "r_grid =", "r_grid = 0.1,0.05",
             "nb_smoothing = 0", "maxent_l2 = -5", "maxent_tol = 0", "maxent_max_iter = 0",
-            "min_community_fraction = 2", *_NON_FINITE, *_RUNAWAY_GRIDS,
+            "min_community_fraction = 2", "seed = -5", *_NON_FINITE, *_RUNAWAY_GRIDS,
         ],
     )
     def test_out_of_range_value_is_usage_error_naming_the_key(self, tmp_path, setting):
@@ -423,9 +432,25 @@ class TestErrorHandling:
         assert result.exit_code == 2
         key = setting.split(" =")[0]
         if setting in _NON_FINITE + _RUNAWAY_GRIDS:
-            assert f"bad value for {key}" in result.output
+            assert f"{config}:3: bad value for {key}" in result.output
         else:
-            assert f"{key} must be" in result.output
+            assert f"{config}:3: {key} must be" in result.output
+
+    def test_repeated_key_keeps_the_last_value_and_names_its_line(self, tmp_path):
+        config = tmp_path / "c.conf"
+        config.write_text("seed = 1\ncoverage = 0.3\ncoverage = 2\n")
+        result = _run(["train", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"{config}:3: coverage must be in (0, 1), got 2.0" in result.output
+        config.write_text("seed = 1\ncoverage = 2\ncoverage = 0.3\n")
+        assert load_config(config, {}).coverage == 0.3
+
+    def test_a_flag_value_names_no_file_line(self, tmp_path):
+        config = tmp_path / "c.conf"
+        config.write_text("seed = 1\n")
+        result = _run(["train", "--config", str(config), "--seed", "-5"])
+        assert result.exit_code == 2
+        assert "Error: seed must be non-negative, got -5" in result.output
 
     def test_start_date_after_end_date_is_usage_error_naming_both(self, tmp_path):
         config = tmp_path / "c.conf"

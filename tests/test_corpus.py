@@ -137,6 +137,31 @@ class TestParseTweets:
         assert tweets == []
         assert skipped == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            _tweet_line(id=None),
+            _tweet_line(user_id=None),
+            _tweet_line(id=True),
+            _tweet_line(text=["off", "to", "work"]),
+            _tweet_line(region=3),
+            _tweet_line(timestamp="0001-01-01T00:00:00+01:00"),  # before UTC's year 1
+            _tweet_line()[:-5],
+            json.dumps([_tweet_line()]),
+        ],
+        ids=["null-id", "null-user", "bool-id", "list-text", "number-region",
+             "timestamp-overflow", "truncated", "array"],
+    )
+    def test_bad_record_is_skipped_and_named_by_line(self, caplog, line):
+        stream = io.StringIO(_tweet_line(id=7) + "\n\n" + line + "\n")
+        stream.name = "tweets.jsonl"
+        tweets, skipped = parse_tweets(stream)
+        assert [t.id for t in tweets] == ["7"]
+        assert skipped == 1
+        [record] = caplog.records
+        assert record.getMessage().startswith("tweets.jsonl:3: ")
+        assert record.getMessage().endswith(", skipped")
+
     def test_region_optional_and_offset_timestamps_normalized(self):
         record = json.loads(_tweet_line())
         del record["region"]

@@ -671,7 +671,7 @@ class TestPinnedOutputs:
         net = default_contact_network()
         report = sweep(net, 0.624, [0.0, 0.075, 0.145], 20, derive_stream(51))
         assert hashlib.sha256(repr(report).encode()).hexdigest() == (
-            "afd376bca150704e05e251b876190720e627898d8d3c3178e626aa2e6403e3eb"
+            "665225ac5fa58753fbfebd4e2764f8b97c36145e2eea45e0331522d12bb2a664"
         )
 
     def test_sweep_runs(self):
