@@ -267,35 +267,31 @@ def detect_communities(
 
     # community assignment per original node, refined level by level
     assignment = list(range(n))
+    if not simple_edges:
+        return _renumber(node_list, assignment)
     adj: list[dict[int, float]] = [dict() for _ in range(n)]
     for i, j in simple_edges:
-        adj[i][j] = adj[i].get(j, 0.0) + 1.0
-        adj[j][i] = adj[j].get(i, 0.0) + 1.0
-    self_w = [0.0] * n
+        adj[i][j] = adj[j][i] = 1.0
+    # a community's degree counts its inner edges twice; 2m never changes
+    degree = [float(len(neigh)) for neigh in adj]
+    m2 = 2.0 * len(simple_edges)
 
     while True:
-        communities, moved = _louvain_level(adj, self_w, gen)
-        if not moved:
+        communities = _louvain_level(adj, degree, m2, gen)
+        if max(communities) + 1 == len(adj):  # no node moved
             break
         assignment = [communities[assignment[v]] for v in range(n)]
-        adj, self_w = _aggregate(adj, self_w, communities)
-        if len(adj) == 1:
-            break
+        adj, degree = _aggregate(adj, degree, communities)
 
     return _renumber(node_list, assignment)
 
 
 def _louvain_level(
-    adj: list[dict[int, float]], self_w: list[float], gen: np.random.Generator
-) -> tuple[list[int], bool]:
+    adj: list[dict[int, float]], degree: list[float], m2: float, gen: np.random.Generator
+) -> list[int]:
     n = len(adj)
-    degree = [sum(neigh.values()) + 2.0 * self_w[i] for i, neigh in enumerate(adj)]
-    m2 = sum(degree)
-    if m2 == 0.0:
-        return list(range(n)), False
     community = list(range(n))
     sigma_tot = degree.copy()
-    moved_any = False
 
     order = np.arange(n)
     gen.shuffle(order)
@@ -308,11 +304,8 @@ def _louvain_level(
                 cj = community[j]
                 weight_to[cj] = weight_to.get(cj, 0.0) + w
             sigma_tot[ci] -= degree[i]
-            stay_score = weight_to.get(ci, 0.0) - sigma_tot[ci] * degree[i] / m2
-            best_c, best_score = ci, stay_score
-            for c in sorted(weight_to):
-                if c == ci:
-                    continue
+            best_c, best_score = ci, weight_to.get(ci, 0.0) - sigma_tot[ci] * degree[i] / m2
+            for c in sorted(weight_to):  # staying (c == ci) never beats best_score
                 score = weight_to[c] - sigma_tot[c] * degree[i] / m2
                 if score > best_score + 1e-12:
                     best_c, best_score = c, score
@@ -320,34 +313,28 @@ def _louvain_level(
             if best_c != ci:
                 community[i] = best_c
                 moved_this_pass = True
-                moved_any = True
         if not moved_this_pass:
             break
 
-    # compact community ids
-    remap: dict[int, int] = {}
-    for i in range(n):
-        remap.setdefault(community[i], len(remap))
-    return [remap[c] for c in community], moved_any
+    # compact community ids in order of first appearance
+    remap = {c: k for k, c in enumerate(dict.fromkeys(community))}
+    return [remap[c] for c in community]
 
 
 def _aggregate(
-    adj: list[dict[int, float]], self_w: list[float], communities: list[int]
+    adj: list[dict[int, float]], degree: list[float], communities: list[int]
 ) -> tuple[list[dict[int, float]], list[float]]:
     n_new = max(communities) + 1
     new_adj: list[dict[int, float]] = [dict() for _ in range(n_new)]
-    new_self = [0.0] * n_new
+    new_degree = [0.0] * n_new
     for i, neigh in enumerate(adj):
         ci = communities[i]
-        new_self[ci] += self_w[i]
+        new_degree[ci] += degree[i]
         for j, w in neigh.items():
             cj = communities[j]
-            if ci == cj:
-                if i < j:
-                    new_self[ci] += w
-            else:
+            if ci != cj:
                 new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-    return new_adj, new_self
+    return new_adj, new_degree
 
 
 def _renumber(node_list: list, assignment: list[int]) -> dict:
