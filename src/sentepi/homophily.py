@@ -7,6 +7,7 @@ sentiment enrichment of modularity communities.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -253,9 +254,10 @@ def detect_communities(
 ) -> dict:
     """Greedy multi-level modularity maximization (Louvain-style).
 
-    Directed edges are projected to a simple undirected graph first.
-    Node visit order within each sweep is shuffled from ``stream``, so a
-    given (graph, stream) pair always yields the same partition. Every
+    Directed edges are projected to a simple undirected graph first. Each
+    level queues its nodes in an order shuffled from ``stream``, re-queues
+    the neighbours of a node that moves, and ends when its queue is empty;
+    a given (graph, stream) pair always yields the same partition. Every
     node lands in exactly one community; community ids are renumbered
     0..C-1 by decreasing size (ties by smallest member).
     """
@@ -293,28 +295,31 @@ def _louvain_level(
     community = list(range(n))
     sigma_tot = degree.copy()
 
+    # Leiden's fast local move: a move re-queues neighbours outside the new community
     order = np.arange(n)
     gen.shuffle(order)
-    while True:
-        moved_this_pass = False
-        for i in order:
-            ci = community[i]
-            weight_to: dict[int, float] = {}
-            for j, w in adj[i].items():
-                cj = community[j]
-                weight_to[cj] = weight_to.get(cj, 0.0) + w
-            sigma_tot[ci] -= degree[i]
-            best_c, best_score = ci, weight_to.get(ci, 0.0) - sigma_tot[ci] * degree[i] / m2
-            for c in sorted(weight_to):  # staying (c == ci) never beats best_score
-                score = weight_to[c] - sigma_tot[c] * degree[i] / m2
-                if score > best_score + 1e-12:
-                    best_c, best_score = c, score
-            sigma_tot[best_c] += degree[i]
-            if best_c != ci:
-                community[i] = best_c
-                moved_this_pass = True
-        if not moved_this_pass:
-            break
+    queue, queued = deque(order.tolist()), [True] * n
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        ci = community[i]
+        weight_to: dict[int, float] = {}
+        for j, w in adj[i].items():
+            cj = community[j]
+            weight_to[cj] = weight_to.get(cj, 0.0) + w
+        sigma_tot[ci] -= degree[i]
+        best_c, best_score = ci, weight_to.get(ci, 0.0) - sigma_tot[ci] * degree[i] / m2
+        for c in sorted(weight_to):  # staying (c == ci) never beats best_score
+            score = weight_to[c] - sigma_tot[c] * degree[i] / m2
+            if score > best_score + 1e-12:
+                best_c, best_score = c, score
+        sigma_tot[best_c] += degree[i]
+        if best_c != ci:
+            community[i] = best_c
+            for j in adj[i]:
+                if not queued[j] and community[j] != best_c:
+                    queued[j] = True
+                    queue.append(j)
 
     # compact community ids in order of first appearance
     remap = {c: k for k, c in enumerate(dict.fromkeys(community))}

@@ -9,6 +9,7 @@ from sentepi.homophily import (
     _assortativity_from_codes,
     _code_edges,
     _in_fractions,
+    _louvain_level,
     _undirected_projection,
     assortativity,
     bootstrap_null,
@@ -353,6 +354,29 @@ def _best_two_partition_modularity(n, edges):
     return float(q[best]), best
 
 
+class _KeepOrder:
+    """A generator stand-in whose shuffle leaves the visit order as it is."""
+
+    def shuffle(self, order):
+        pass
+
+
+def _planted_blocks(n_blocks, size, p_in, n_between, stream):
+    """Blocks of ``size`` nodes, each pair inside a block joined with
+    probability ``p_in``, plus ``n_between`` random edges across blocks."""
+    gen = stream.generator()
+    edges = []
+    for b in range(n_blocks):
+        pairs = np.array(list(itertools.combinations(range(b * size, (b + 1) * size), 2)))
+        edges += map(tuple, pairs[gen.random(len(pairs)) < p_in].tolist())
+    while n_between:
+        u, v = gen.integers(0, n_blocks * size, size=2).tolist()
+        if u // size != v // size:
+            edges.append((u, v))
+            n_between -= 1
+    return edges
+
+
 class TestDetectCommunities:
     def test_two_cliques_found_exactly(self):
         nodes, edges = _two_cliques(10)
@@ -449,6 +473,42 @@ class TestDetectCommunities:
             groups.setdefault(cid, set()).add(node)
         expected = [set(range(c * k, (c + 1) * k)) for c in range(n_cliques)]
         assert sorted(groups.values(), key=min) == expected
+
+
+    def test_planted_blocks_recovered_exactly(self):
+        # 12 blocks of 200: each node has about 20 neighbours inside its block
+        # and 0.5 outside. A block holds about 2,000 of the 24,600 edges, far
+        # above the sqrt(2m) = 222 below which modularity may merge blocks.
+        n_blocks, size = 12, 200
+        edges = _planted_blocks(n_blocks, size, 0.1, 600, derive_stream(78))
+        partition = detect_communities(range(n_blocks * size), edges, derive_stream(78, 1))
+        groups = {}
+        for node, cid in partition.items():
+            groups.setdefault(cid, set()).add(node)
+        expected = [set(range(b * size, (b + 1) * size)) for b in range(n_blocks)]
+        assert sorted(groups.values(), key=min) == expected
+
+    def test_a_node_whose_neighbour_moves_away_is_visited_again(self):
+        # 2 - 1 - 0 - 3 - 4 with the chord 1 - 3, visited in the order 0..4:
+        # node 0 joins node 1, then node 1 leaves it for node 2. A single
+        # sweep would end with node 0 alone, though joining {1, 2} raises
+        # modularity; node 1's move queues node 0 again, and it joins.
+        # On larger graphs a move also shifts the community totals that
+        # non-neighbours see, and those nodes are not queued again, so a
+        # level is not in general a local optimum (Leiden's fast local move
+        # promises node optimality only of a level in which nothing moves).
+        edges = [(0, 1), (0, 3), (1, 2), (1, 3), (3, 4)]
+        adj = [dict() for _ in range(5)]
+        for i, j in edges:
+            adj[i][j] = adj[j][i] = 1.0
+        degree = [float(len(neigh)) for neigh in adj]
+        level = _louvain_level(adj, degree, 2.0 * len(edges), _KeepOrder())
+        assert level == [0, 0, 0, 1, 1]
+        partition = dict(enumerate(level))
+        q = modularity(partition, edges)
+        for node in range(5):
+            for c in {level[j] for j in adj[node]} - {level[node]}:
+                assert modularity({**partition, node: c}, edges) <= q + 1e-12
 
 
 class TestCommunityEnrichment:
