@@ -42,7 +42,6 @@ import click
 
 from . import InputError, StallError, __version__, read_mapping, write_csv, write_text
 from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
-from .stats import derive_stream
 
 # Stream path roots, one per command. gen-net draws nothing (it writes the
 # calibrated network), but its root stays reserved so sweep keeps root 6.
@@ -375,6 +374,7 @@ def _stage(
 def train(config: RunConfig) -> list[str]:
     """Train the sentiment ensemble on the labeled tweets."""
     from . import classify
+    from .stats import derive_stream
 
     tweets = _load_tweets(config)
     labels = parse_labels(config.labels)
@@ -514,6 +514,7 @@ def flownet_cmd(config: RunConfig) -> list[str]:
 def homophily_cmd(config: RunConfig, workers: int) -> list[str]:
     """Assortativity, bootstrap null, in-fractions, and communities."""
     from . import flownet, homophily
+    from .stats import derive_stream
 
     network = flownet.read_network(
         config.out / "opinion_nodes.csv", config.out / "opinion_edges.csv"
@@ -579,6 +580,7 @@ def gen_net(config: RunConfig) -> list[str]:
 def sweep_cmd(config: RunConfig, workers: int) -> list[str]:
     """Outbreak risk across the assortativity grid."""
     from . import epi
+    from .stats import derive_stream
 
     if config.contact_network is not None:
         _require_inputs(config, "contact_network")

@@ -109,7 +109,7 @@ def parse_tweets(lines: IO | Iterable[str]) -> tuple[list[Tweet], int]:
             tweet = _parse_tweet(line)
             if tweet.id in seen_ids:
                 raise ValueError(f"duplicate tweet id {tweet.id!r}")
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             reason = f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else exc
             logger.warning("%s:%d: %s, skipped", _name(lines), lineno, reason)
             skipped += 1
@@ -128,8 +128,7 @@ _JSON_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean",
 
 
 def _parse_tweet(line: str) -> Tweet:
-    """The tweet on one JSON line; raises ValueError naming the problem, or
-    OverflowError for a timestamp that UTC cannot hold."""
+    """The tweet on one JSON line; raises ValueError naming the problem."""
     record = json.loads(line)
     if type(record) is not dict:
         raise ValueError(f"expected a JSON object, got {_JSON_NAMES[type(record)]}")
@@ -140,11 +139,16 @@ def _parse_tweet(line: str) -> Tweet:
             allowed = " or ".join(_JSON_NAMES[t] for t in types)
             raise ValueError(f"{key} must be {allowed}, got {_JSON_NAMES[type(record[key])]}")
     text = record["timestamp"].strip()
-    ts = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text)
+    try:
+        ts = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text)
+        ts = ts.astimezone(timezone.utc) if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
+    except (ValueError, OverflowError) as exc:
+        reason = str(exc).partition(": ")[0]  # cut before datetime quotes its rewritten input
+        raise ValueError(f"timestamp {record['timestamp']!r}: {reason}") from None
     return Tweet(
         id=str(record["id"]),
         user_id=str(record["user_id"]),
-        timestamp=ts.astimezone(timezone.utc) if ts.tzinfo else ts.replace(tzinfo=timezone.utc),
+        timestamp=ts,
         text=record["text"],
         region=record.get("region"),
     )

@@ -772,11 +772,13 @@ def _scipy(modules):
     return [m for m in modules if m.split(".")[0] == "scipy"]
 
 
-def test_importing_the_cli_loads_no_scipy_sparse_or_special():
+def test_importing_the_cli_loads_no_numpy_scipy_or_stage_module():
     # Each stage body imports its own modules; importing the CLI loads none,
-    # and no scipy module either.
+    # and neither numpy nor any scipy module, so --version and usage errors
+    # pay for neither.
     modules = _imported_modules("-c", "import sentepi.cli")
     assert "sentepi.cli" in modules
+    assert "numpy" not in modules
     assert not _scipy(modules)
     assert not _STAGE_MODULES.intersection(modules)
 

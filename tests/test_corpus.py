@@ -138,28 +138,33 @@ class TestParseTweets:
         assert skipped == 2
 
     @pytest.mark.parametrize(
-        "line",
+        "line, reason",
         [
-            _tweet_line(id=None),
-            _tweet_line(user_id=None),
-            _tweet_line(id=True),
-            _tweet_line(text=["off", "to", "work"]),
-            _tweet_line(region=3),
-            _tweet_line(timestamp="0001-01-01T00:00:00+01:00"),  # before UTC's year 1
-            _tweet_line()[:-5],
-            json.dumps([_tweet_line()]),
+            (_tweet_line(id=None), "id must be string or integer, got null"),
+            (_tweet_line(user_id=None), "user_id must be string or integer, got null"),
+            (_tweet_line(id=True), "id must be string or integer, got boolean"),
+            (_tweet_line(text=["off", "to", "work"]), "text must be string, got array"),
+            (_tweet_line(region=3), "region must be string or null, got integer"),
+            # before UTC's year 1
+            (_tweet_line(timestamp="0001-01-01T00:00:00+01:00"),
+             "timestamp '0001-01-01T00:00:00+01:00': date value out of range"),
+            # the value as written, not datetime's 'yesterday+00:00'
+            (_tweet_line(timestamp="yesterdayZ"),
+             "timestamp 'yesterdayZ': Invalid isoformat string"),
+            (_tweet_line()[:-5], "invalid JSON ("),
+            (json.dumps([_tweet_line()]), "expected a JSON object, got array"),
         ],
         ids=["null-id", "null-user", "bool-id", "list-text", "number-region",
-             "timestamp-overflow", "truncated", "array"],
+             "timestamp-overflow", "timestamp-unreadable", "truncated", "array"],
     )
-    def test_bad_record_is_skipped_and_named_by_line(self, caplog, line):
+    def test_bad_record_is_skipped_and_named_by_line(self, caplog, line, reason):
         stream = io.StringIO(_tweet_line(id=7) + "\n\n" + line + "\n")
         stream.name = "tweets.jsonl"
         tweets, skipped = parse_tweets(stream)
         assert [t.id for t in tweets] == ["7"]
         assert skipped == 1
         [record] = caplog.records
-        assert record.getMessage().startswith("tweets.jsonl:3: ")
+        assert record.getMessage().startswith(f"tweets.jsonl:3: {reason}")
         assert record.getMessage().endswith(", skipped")
 
     def test_region_optional_and_offset_timestamps_normalized(self):

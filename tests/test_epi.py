@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import pickle
 from typing import NamedTuple
@@ -6,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import chi2
 
 from sentepi.epi import (
     ContactNetwork,
@@ -556,6 +558,24 @@ class TestVaccinationAssortativity:
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
             vaccination_assortativity(_net(3, []), _no_vaccine(3))
+
+
+class TestRandomAssignmentOracle:
+    def test_every_subset_is_equally_likely(self):
+        # n = 7 with 3 vaccinated: each of the C(7, 3) = 35 subsets has
+        # probability 1/35, so 10,000 draws expect each 285.7 times.
+        net, draws = _net(7, []), 10_000
+        counts = {}
+        for i in range(draws):
+            vac = random_assignment(net, 3 / 7, derive_stream(900, i))
+            subset = tuple(np.flatnonzero(vac.vaccinated).tolist())
+            counts[subset] = counts.get(subset, 0) + 1
+        subsets = list(itertools.combinations(range(7), 3))
+        assert set(counts) <= set(subsets)
+        observed = np.array([counts.get(s, 0) for s in subsets], dtype=float)
+        expected = draws / len(subsets)
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        assert statistic < chi2.isf(1e-6, len(subsets) - 1)
 
 
 class TestRedistribute:
