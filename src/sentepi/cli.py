@@ -311,7 +311,10 @@ _workers_option = click.option(
 
 def _resolve(config_path: Path | None, seed: int | None, out: Path | None) -> RunConfig:
     config = load_config(config_path, {"seed": seed, "out": out})
-    config.out.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot make out directory {config.out}: {exc.strerror}") from None
     return config
 
 

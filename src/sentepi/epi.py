@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import InputError, StallError, read_csv, write_csv
-from .stats import RandomStream, largest_component, map_chunks, wilson_interval
+from .stats import RandomStream, largest_component, map_tasks, wilson_interval
 
 logger = logging.getLogger(__name__)
 
@@ -435,7 +435,8 @@ def redistribute(
     if net.m == 0:
         raise ValueError("cannot redistribute on an edgeless network")
     if not 0 < vac.n_vaccinated < net.n:
-        raise ValueError("coverage must be strictly between 0 and 1")
+        raise ValueError(f"coverage leaves {vac.n_vaccinated} of {net.n} nodes vaccinated;"
+                         " redistribution needs at least one vaccinated and one unvaccinated node")
     vacc = vac.vaccinated.copy()
 
     svv, suu = _mixing_counts(net, vacc)
@@ -517,25 +518,21 @@ def default_r_grid() -> list[float]:
     return [round(0.005 * i, 3) for i in range(30)]
 
 
-def _sweep_chunk(args):
-    net, coverage, target_r, grid_index, stream, max_stall, j_start, j_stop = args
-    rows = []
-    for j in range(j_start, j_stop):
-        vac = random_assignment(net, coverage, stream.child(grid_index, j, 0))
-        try:
-            vac = redistribute(
-                net, vac, target_r, stream.child(grid_index, j, 1), max_stall
-            )
-        except StallError as exc:
-            raise StallError(
-                f"grid point {grid_index} (target r {target_r}), "
-                f"redistribution {j}: {exc}",
-                best_r=exc.best_r,
-                target_r=target_r,
-            ) from None
-        result = run_seir(net, vac, stream=stream.child(grid_index, j, 2))
-        rows.append((j, vaccination_assortativity(net, vac), result.attack_rate))
-    return grid_index, rows
+def _sweep_task(net, coverage, max_stall, stream, task) -> tuple[float, float]:
+    grid_index, target_r, j = task
+    stream = stream.child(grid_index, j)
+    vac = random_assignment(net, coverage, stream.child(0))
+    try:
+        vac = redistribute(net, vac, target_r, stream.child(1), max_stall)
+    except StallError as exc:
+        raise StallError(
+            f"grid point {grid_index} (target r {target_r}), "
+            f"redistribution {j}: {exc}",
+            best_r=exc.best_r,
+            target_r=target_r,
+        ) from None
+    result = run_seir(net, vac, stream=stream.child(2))
+    return vaccination_assortativity(net, vac), result.attack_rate
 
 
 def sweep(
@@ -551,9 +548,9 @@ def sweep(
 
     For every grid value: draw a fresh random assignment, redistribute
     it to the target, and run one simulation, ``redistributions_per_r``
-    times. Each task's randomness is derived from (master stream, grid
-    index, redistribution index), so the report is identical for any
-    worker count or scheduling order.
+    times. Each of these is one task for :func:`map_tasks`, drawing from
+    (master stream, grid index, redistribution index), so the report is
+    identical for any worker count or scheduling order.
     """
     grid = [float(r) for r in r_grid]
     if not grid:
@@ -563,17 +560,15 @@ def sweep(
     if redistributions_per_r < 1:
         raise ValueError("redistributions_per_r must be at least 1")
 
-    heads = [(net, coverage, target, gi, stream, max_stall) for gi, target in enumerate(grid)]
-    per_point: list[list[tuple[int, float, float]]] = [[] for _ in grid]
-    for gi, rows in map_chunks(_sweep_chunk, heads, redistributions_per_r, workers):
-        per_point[gi].extend(rows)
+    n = redistributions_per_r
+    tasks = [(gi, target, j) for gi, target in enumerate(grid) for j in range(n)]
+    run = functools.partial(_sweep_task, net, coverage, max_stall, stream)
+    rows = map_tasks(run, tasks, workers)
 
     points = []
     baseline: tuple[float, float] | None = None
     for gi, target in enumerate(grid):
-        rows = per_point[gi]
-        achieved = np.array([row[1] for row in rows])
-        attacks = np.array([row[2] for row in rows])
+        achieved, attacks = map(np.array, zip(*rows[gi * n:(gi + 1) * n]))
         runs = attacks.size
         hits3, hits5 = (int((attacks >= t).sum()) for t in _ATTACK_THRESHOLDS)
         p3, p5 = hits3 / runs, hits5 / runs

@@ -7,16 +7,17 @@ sentiment enrichment of modularity communities.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import write_csv
 from .stats import (
-    RandomStream, fisher_exact_2x2, index_edges, map_chunks, wilcoxon_signed_rank_paired
+    RandomStream, fisher_exact_2x2, index_edges, map_tasks, wilcoxon_signed_rank_paired
 )
 
 __all__ = [
@@ -121,29 +122,18 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[min(idx, n - 1)])
 
 
-def _resample_codes(multiset: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    # i.i.d. draws with replacement from the empirical label multiset.
-    # The pool is sorted so replicates depend only on (topology, label
-    # multiset, seed), not on which node happened to carry which label.
+def _replicate(multiset: np.ndarray, stream: RandomStream, i: int) -> np.ndarray:
+    """Type codes of replicate i: i.i.d. draws with replacement from the
+    empirical label multiset, from ``stream.child(i)``. The pool is sorted
+    so replicates depend only on (topology, label multiset, seed), not on
+    which node happened to carry which label."""
+    gen = stream.child(i).generator()
     return multiset[gen.integers(0, multiset.size, size=multiset.size)]
 
 
-def _replicates(
-    multiset: np.ndarray, stream: RandomStream, start: int, stop: int
-) -> Iterator[np.ndarray]:
-    """Resampled type codes of replicates ``start`` to ``stop - 1``.
-    Replicate i draws from ``stream.child(i)``, so it is the same however
-    the replicates are split into chunks."""
-    for i in range(start, stop):
-        yield _resample_codes(multiset, stream.child(i).generator())
-
-
-def _null_chunk(args) -> np.ndarray:
-    multiset, src, dst, k, stream, start, stop = args
-    return np.array([
-        _assortativity_from_codes(replicate[src], replicate[dst], k).r
-        for replicate in _replicates(multiset, stream, start, stop)
-    ], dtype=float)
+def _null_r(multiset, src, dst, k: int, stream: RandomStream, i: int) -> float:
+    codes = _replicate(multiset, stream, i)
+    return _assortativity_from_codes(codes[src], codes[dst], k).r
 
 
 def bootstrap_null(
@@ -158,8 +148,8 @@ def bootstrap_null(
     Each replicate draws every node's label independently, with
     replacement, from the observed label multiset, then recomputes r on
     the fixed topology. Replicate i uses the sub-stream
-    ``stream.child(i)``, so the distribution is identical for any worker
-    count or scheduling order.
+    ``stream.child(i)`` and is one task for :func:`map_tasks`, so the
+    distribution is identical for any worker count or scheduling order.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -169,8 +159,8 @@ def bootstrap_null(
     k = len(types)
     multiset = np.sort(codes)
 
-    parts = map_chunks(_null_chunk, [(multiset, src, dst, k, stream)], iterations, workers)
-    return NullDistribution(values=np.concatenate(parts))
+    null_r = functools.partial(_null_r, multiset, src, dst, k, stream)
+    return NullDistribution(values=np.array(map_tasks(null_r, range(iterations), workers)))
 
 
 def _in_fractions(src: np.ndarray, dst: np.ndarray, n: int):
@@ -223,8 +213,8 @@ def in_fraction_test(
     multiset = np.sort(codes)
     p_values = np.empty(iterations, dtype=float)
     replicate_means = np.empty(iterations, dtype=float)
-    for i, codes in enumerate(_replicates(multiset, stream, 0, iterations)):
-        replicate = fractions(codes)
+    for i in range(iterations):
+        replicate = fractions(_replicate(multiset, stream, i))
         replicate_means[i] = float(replicate.mean())
         p_values[i] = wilcoxon_signed_rank_paired(original, replicate)
     return InFractionTest(

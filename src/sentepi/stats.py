@@ -3,11 +3,12 @@
 Weighted Pearson correlation, Fisher's exact test for 2x2 tables, the
 paired Wilcoxon signed-rank test, the node index of an edge list, the
 largest connected component of a graph, reproducible splittable random
-streams, and the process pool that parallel callers share. Everything
-here is a pure function of its inputs; streams are addressed by (master
-seed, path) so parallel workers never share state. Every stochastic
-function in the package requires a :class:`RandomStream`; entry points
-build one from an integer seed with :func:`derive_stream`.
+streams, and the process pool that maps parallel callers' tasks, one
+task per replicate. Everything here is a pure function of its inputs;
+streams are addressed by (master seed, path) so parallel workers never
+share state. Every stochastic function in the package requires a
+:class:`RandomStream`; entry points build one from an integer seed with
+:func:`derive_stream`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = [
     "derive_stream",
     "index_edges",
     "largest_component",
-    "map_chunks",
+    "map_tasks",
     "weighted_pearson",
     "fisher_exact_2x2",
     "wilcoxon_signed_rank_paired",
@@ -72,22 +73,14 @@ def derive_stream(master_seed: int, *path: int) -> RandomStream:
     return RandomStream(int(master_seed), tuple(int(p) for p in path))
 
 
-def map_chunks(
-    fn: Callable[[tuple], object], heads: Sequence[tuple], n: int, workers: int
-) -> list:
-    """``fn(head + (start, stop))`` for every head and every chunk of range(n).
-
-    Results come back in order: by head, then by chunk. Serially
-    (``workers`` 1) each head is one chunk; otherwise range(n) is cut into
-    about four chunks per worker and the calls run in a pool of
-    ``workers`` processes, so ``fn`` must be a module-level function.
-    """
-    chunk = max(1, n if workers <= 1 else math.ceil(n / (workers * 4)))
-    tasks = [head + (i, min(i + chunk, n)) for head in heads for i in range(0, n, chunk)]
+def map_tasks(fn: Callable[[object], object], tasks: Sequence, workers: int) -> list:
+    """``fn(task)`` for every task, in order: here if ``workers`` is 1, else in a
+    pool of ``workers`` processes, about four chunks per worker (``fn`` must pickle)."""
     if workers <= 1:
         return [fn(task) for task in tasks]
+    chunksize = max(1, math.ceil(len(tasks) / (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
 def index_edges(

@@ -272,6 +272,15 @@ class TestErrorHandling:
         assert result.exit_code == 2
         assert f"config is not a file: {tmp_path}" in result.output
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["a_file", "under_a_file"])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, under):
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / under  # "" leaves the path at the file
+        result = _run(["train", "--seed", "1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"cannot make out directory {out}: " in result.output
+        assert "Traceback" not in result.output
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "c.conf"
         config.write_text("seed = 1\nbogus_key = 2\n")

@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import itertools
 import math
 import pickle
+from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -578,6 +581,82 @@ class TestRandomAssignmentOracle:
         assert statistic < chi2.isf(1e-6, len(subsets) - 1)
 
 
+def _redistribute_chain(n, edges, start, target):
+    """Exact law of ``redistribute`` on ``edges`` from the vaccinated set ``start``.
+
+    Each trial swaps a uniform vaccinated x with a uniform unvaccinated y
+    and is kept iff r strictly rises; the climb stops once r > target. A
+    rejected trial leaves the state as it was, so the accepted swaps form
+    a chain that moves to each improving neighbour with equal probability,
+    and r rises along it. r is computed here in fractions from the mixing
+    matrix (each edge counted in both directions). Returns P(final set),
+    E[k] and E[k^2] for the number k of accepted swaps.
+    """
+    nodes = frozenset(range(n))
+
+    @functools.cache
+    def r(state):
+        same = Fraction(sum((u in state) == (v in state) for u, v in edges), len(edges))
+        a = Fraction(sum((u in state) + (v in state) for u, v in edges), 2 * len(edges))
+        sab = a * a + (1 - a) * (1 - a)
+        return (same - sab) / (1 - sab)
+
+    @functools.cache
+    def solve(state):
+        if r(state) > target:
+            return {state: Fraction(1)}, Fraction(0), Fraction(0)
+        moves = [state - {x} | {y} for x in state for y in nodes - state]
+        up = [nxt for nxt in moves if r(nxt) > r(state)]
+        assert up, f"{sorted(state)} stalls below the target"
+        final, k1, k2 = Counter(), Fraction(0), Fraction(0)
+        for nxt in up:
+            f, e1, e2 = solve(nxt)
+            for s, prob in f.items():
+                final[s] += prob / len(up)
+            k1 += (1 + e1) / len(up)
+            k2 += (1 + 2 * e1 + e2) / len(up)
+        return final, k1, k2
+
+    return solve(frozenset(start))
+
+
+class TestRedistributeOracle:
+    # From {1, 2, 3, 6} the climb ends in one of 4 sets after 2.18 accepted
+    # swaps on average. No state on the way is a local maximum of r, and
+    # where two of its states tie in exact r their float r is equal too.
+    EDGES = [(0, 1), (0, 3), (0, 4), (0, 6), (1, 7), (2, 3), (3, 4), (4, 7), (5, 7)]
+    START, TARGET, RUNS = (1, 2, 3, 6), 0.2, 4000
+
+    def test_final_sets_and_accepted_swaps_follow_the_exact_chain(self, monkeypatch):
+        # Fraction(0.2) is the float's exact value, the one redistribute compares with
+        final, k1, k2 = _redistribute_chain(8, self.EDGES, self.START, Fraction(self.TARGET))
+        # every trial's r passes through _two_type_r; a new maximum is an accepted swap
+        trial_r, two_type_r = [], epi._two_type_r
+
+        def recording(*counts):
+            trial_r.append(two_type_r(*counts))
+            return trial_r[-1]
+
+        monkeypatch.setattr(epi, "_two_type_r", recording)
+        net = _net(8, [(u, v, 120) for u, v in self.EDGES])
+        start = VaccinationAssignment(np.isin(np.arange(8), self.START))
+        finals, accepted = Counter(), []
+        for i in range(self.RUNS):
+            trial_r.clear()
+            out = redistribute(net, start, self.TARGET, derive_stream(950, i))
+            finals[frozenset(np.flatnonzero(out.vaccinated).tolist())] += 1
+            best = list(itertools.accumulate(trial_r, max))
+            accepted.append(sum(b > a for a, b in zip(best, best[1:])))
+        assert set(finals) <= set(final)
+        observed = np.array([finals[s] for s in final], dtype=float)
+        expected = np.array([float(p) for p in final.values()]) * self.RUNS
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        assert statistic < chi2.isf(1e-6, len(final) - 1)
+        variance = float(k2 - k1 * k1)
+        z2 = (np.mean(accepted) - float(k1)) ** 2 / (variance / self.RUNS)
+        assert z2 < chi2.isf(1e-6, 1)
+
+
 class TestRedistribute:
     def test_two_clique_target_reached(self):
         net = _two_cliques(20)
@@ -637,6 +716,14 @@ class TestRedistribute:
         net = _two_cliques(4)
         with pytest.raises(ValueError, match="coverage"):
             redistribute(net, _no_vaccine(8), 0.5, derive_stream(36))
+
+    @pytest.mark.parametrize("coverage, count", [(0.05, 0), (0.95, 8)])
+    def test_coverage_rounding_to_none_or_all_is_rejected_with_the_counts(self, coverage, count):
+        # 8 nodes: round(0.4) vaccinates none and round(7.6) vaccinates all
+        net = _two_cliques(4)
+        vac = random_assignment(net, coverage, derive_stream(39))
+        with pytest.raises(ValueError, match=f"^coverage leaves {count} of 8 nodes vaccinated;"):
+            redistribute(net, vac, 0.5, derive_stream(36))
 
 
 class TestSweep:

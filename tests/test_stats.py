@@ -23,6 +23,7 @@ from sentepi.stats import (
     fisher_exact_2x2,
     index_edges,
     largest_component,
+    map_tasks,
     weighted_pearson,
     wilcoxon_signed_rank_paired,
     wilson_interval,
@@ -363,6 +364,18 @@ class TestIndexEdges:
     def test_endpoint_outside_the_nodes_rejected(self):
         with pytest.raises(ValueError, match="'z' is not a node"):
             index_edges(["a"], [("a", "z")])
+
+
+class TestMapTasks:
+    # with 2 workers, 1, 7 and 100 tasks go out in chunks of 1, 1 and 13
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_results_come_back_in_task_order(self, n, workers):
+        assert map_tasks(str, range(n), workers) == [str(i) for i in range(n)]
+
+    def test_an_error_in_a_pool_task_reaches_the_caller(self):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            map_tasks(int, ["1", "2", "x"], 2)
 
 
 class TestWilsonInterval:
