@@ -10,7 +10,8 @@ last; every file is replaced whole. Each stage body imports the modules
 it uses, so a stage process loads only its own. A manifest is fresh while
 its ``reads`` (each config key the stage read; a file by its sha256),
 ``upstream`` and ``outputs`` (the sha256 of each file consumed and
-written) match.
+written) match. The group's ``--log-level`` and ``-v`` set which of the
+library's log lines reach stderr; by default, its warnings.
 
 Exit codes: 0 success, 1 runtime failure (one ``Error:`` line, such as
 a model file that is not a model), 2 usage or configuration error,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import platform
 import sys
@@ -318,10 +320,25 @@ def _resolve(config_path: Path | None, seed: int | None, out: Path | None) -> Ru
     return config
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is at that moment."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
 @click.group()
 @click.version_option(version=__version__)
-def main() -> None:
+@click.option(
+    "--log-level", type=click.Choice(["debug", "info", "warning", "error"], case_sensitive=False),
+    default="warning", show_default=True, help="Least severe library log line written to stderr.",
+)
+@click.option("-v", "--verbose", count=True, help="One log level lower per use (-v: info).")
+def main(log_level: str, verbose: int) -> None:
     """Sentiment, opinion-network and outbreak-risk pipeline."""
+    logger = logging.getLogger("sentepi")
+    logger.setLevel(max(logging.DEBUG, getattr(logging, log_level.upper()) - 10 * verbose))
+    if not any(isinstance(handler, _StderrHandler) for handler in logger.handlers):
+        logger.addHandler(_StderrHandler())  # once, though in-process runs call main again
 
 
 def _stage(
@@ -439,7 +456,7 @@ def classify_cmd(config: RunConfig) -> list[str]:
     return [out_path.name]
 
 
-@_stage("timeseries", inputs=("tweets",), upstream="classify")
+@_stage("timeseries", inputs=("tweets",), upstream="classify", libraries=())
 def timeseries_cmd(config: RunConfig) -> list[str]:
     """Daily sentiment counts, the smoothed score, and regional scores."""
     from . import timeseries
@@ -483,7 +500,9 @@ def timeseries_cmd(config: RunConfig) -> list[str]:
     return outputs
 
 
-@_stage("flownet", inputs=("tweets", "followers", "friends"), upstream="classify")
+@_stage(
+    "flownet", inputs=("tweets", "followers", "friends"), upstream="classify", libraries=()
+)
 def flownet_cmd(config: RunConfig) -> list[str]:
     """Build the opinionated information-flow network's giant component."""
     from . import flownet

@@ -639,7 +639,7 @@ def generate_synthetic_contact_network(
         raise ValueError("parameters produced no edges")
     w = gen.integers(lo, hi + 1, size=u.size)
 
-    keep = largest_component(n_nodes, u, v)
+    keep = np.array(largest_component(n_nodes, u.tolist(), v.tolist()))
     relabel = -np.ones(n_nodes, dtype=np.int64)
     kept_nodes = np.flatnonzero(keep)
     relabel[kept_nodes] = np.arange(kept_nodes.size)

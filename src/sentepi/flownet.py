@@ -11,14 +11,13 @@ component is stored as two CSVs, ``opinion_nodes.csv`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-import numpy as np
-
 from . import InputError, _name, read_csv, read_mapping, write_csv
 from .corpus import SentimentLabel, Tally, Tweet, tally_by
-from .stats import index_edges, largest_component
+from .stats import edge_positions, largest_component
 
 __all__ = [
     "FlowNetwork",
@@ -127,11 +126,10 @@ def giant_component(network: FlowNetwork) -> FlowNetwork:
     Ties between equal-size components go to the one containing the
     smallest node id. Raises ValueError on an empty network.
     """
-    ids, u, v = index_edges(network.tallies, network.edges)
+    ids, u, v = edge_positions(network.tallies, network.edges)
     if not ids:
         raise ValueError("empty network")
-    giant = np.flatnonzero(largest_component(len(ids), u, v))
-    return _induced(network, {ids[i] for i in giant})
+    return _induced(network, set(compress(ids, largest_component(len(ids), u, v))))
 
 
 def read_adjacency(lines: IO | Iterable[str]) -> dict[str, set[str]]:

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import write_csv
 from .stats import (
-    RandomStream, fisher_exact_2x2, index_edges, map_tasks, wilcoxon_signed_rank_paired
+    RandomStream, edge_positions, fisher_exact_2x2, index_edges, map_tasks,
+    wilcoxon_signed_rank_paired,
 )
 
 __all__ = [
@@ -231,10 +232,8 @@ def in_fraction_test(
 def _undirected_projection(
     nodes: Iterable[Hashable], edges: Sequence[tuple[Hashable, Hashable]]
 ) -> tuple[list, list[tuple[int, int]]]:
-    node_list, src, dst = index_edges(nodes, edges)
-    low, high = np.minimum(src, dst), np.maximum(src, dst)
-    keep = low != high
-    return node_list, sorted(set(zip(low[keep].tolist(), high[keep].tolist())))
+    node_list, src, dst = edge_positions(nodes, edges)
+    return node_list, sorted({(a, b) if a < b else (b, a) for a, b in zip(src, dst) if a != b})
 
 
 def detect_communities(

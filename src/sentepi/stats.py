@@ -9,20 +9,24 @@ streams are addressed by (master seed, path) so parallel workers never
 share state. Every stochastic function in the package requires a
 :class:`RandomStream`; entry points build one from an integer seed with
 :func:`derive_stream`.
+
+Importing this module loads neither numpy nor the process pool; only
+the functions on arrays and the pool branch of :func:`map_tasks` do.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RandomStream",
     "derive_stream",
+    "edge_positions",
     "index_edges",
     "largest_component",
     "map_tasks",
@@ -60,6 +64,8 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         """Return a fresh generator positioned at the start of the stream."""
+        import numpy as np
+
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
 
@@ -78,6 +84,8 @@ def map_tasks(fn: Callable[[object], object], tasks: Sequence, workers: int) -> 
     pool of ``workers`` processes, about four chunks per worker (``fn`` must pickle)."""
     if workers <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, math.ceil(len(tasks) / (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
@@ -88,19 +96,27 @@ def index_edges(
 ) -> tuple[list, np.ndarray, np.ndarray]:
     """Sorted ``nodes`` and, as int64 arrays, each edge's (src, dst)
     positions in that list; an endpoint outside ``nodes`` raises ValueError."""
+    import numpy as np
+
+    node_list, src, dst = edge_positions(nodes, edges)
+    return node_list, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+def edge_positions(
+    nodes: Iterable[Hashable], edges: Sequence[tuple[Hashable, Hashable]]
+) -> tuple[list, list[int], list[int]]:
+    """:func:`index_edges` with the positions as lists of ints."""
     node_list = sorted(nodes)
     index = {node: i for i, node in enumerate(node_list)}
     try:
-        src = np.array([index[a] for a, _ in edges], dtype=np.int64)
-        dst = np.array([index[b] for _, b in edges], dtype=np.int64)
+        return node_list, [index[a] for a, _ in edges], [index[b] for _, b in edges]
     except KeyError as exc:
         raise ValueError(f"edge endpoint {exc} is not a node") from None
-    return node_list, src, dst
 
 
-def largest_component(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Boolean mask of the largest connected component of the undirected
-    graph on nodes 0..n-1 with edges (u[i], v[i]).
+def largest_component(n: int, u: Iterable[int], v: Iterable[int]) -> list[bool]:
+    """Membership in the largest connected component of the undirected
+    graph on nodes 0..n-1 with edges (u[i], v[i]), one bool per node.
 
     Ties between equal-size components go to the one holding the
     smallest node.
@@ -113,7 +129,7 @@ def largest_component(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             a = parent[a]
         return a
 
-    for a, b in zip(u.tolist(), v.tolist()):
+    for a, b in zip(u, v):
         ra, rb = find(a), find(b)
         # the smaller root wins, so every root is its component's smallest node
         if ra < rb:
@@ -121,43 +137,45 @@ def largest_component(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         elif rb < ra:
             parent[ra] = rb
 
-    roots = np.array([find(i) for i in range(n)], dtype=np.int64)
-    counts = np.bincount(roots, minlength=n)
-    return roots == int(np.argmax(counts))  # argmax takes the smallest root on ties
+    roots = [find(i) for i in range(n)]
+    counts = [0] * n
+    for root in roots:
+        counts[root] += 1
+    giant = counts.index(max(counts))  # the smallest root on ties
+    return [root == giant for root in roots]
 
 
 def weighted_pearson(x, y, w) -> tuple[float, float]:
     """Weighted Pearson correlation and its two-sided p-value.
 
-    Weighted means, variances and covariance use the weights directly;
-    the p-value comes from t = r * sqrt((n - 2) / (1 - r^2)) against a
-    Student-t distribution with n - 2 degrees of freedom, where n is the
-    (unweighted) number of points.
+    Weighted means, variances and covariance use the weights directly,
+    each sum correctly rounded (``math.fsum``); the p-value comes from
+    t = r * sqrt((n - 2) / (1 - r^2)) against a Student-t distribution
+    with n - 2 degrees of freedom, where n is the (unweighted) number of
+    points.
 
     Raises ValueError for fewer than 3 points, a non-finite value,
     non-positive weights, or zero weighted variance in either variable.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if not (x.shape == y.shape == w.shape):
+    x, y, w = ([float(value) for value in column] for column in (x, y, w))
+    n = len(x)
+    if not n == len(y) == len(w):
         raise ValueError("x, y and w must have equal lengths")
-    n = x.size
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
-    if not np.isfinite([x, y, w]).all():
+    if not all(map(math.isfinite, x + y + w)):
         raise ValueError("x, y and w must be finite")
-    if np.any(w <= 0):
+    if min(w) <= 0:
         raise ValueError("all weights must be positive")
 
-    wsum = w.sum()
-    mx = float((w * x).sum() / wsum)
-    my = float((w * y).sum() / wsum)
-    dx = x - mx
-    dy = y - my
-    cov = float((w * dx * dy).sum() / wsum)
-    vx = float((w * dx * dx).sum() / wsum)
-    vy = float((w * dy * dy).sum() / wsum)
+    wsum = math.fsum(w)
+    mx = math.fsum(map(float.__mul__, w, x)) / wsum
+    my = math.fsum(map(float.__mul__, w, y)) / wsum
+    dx = [xi - mx for xi in x]
+    dy = [yi - my for yi in y]
+    cov = math.fsum(wi * a * b for wi, a, b in zip(w, dx, dy)) / wsum
+    vx = math.fsum(wi * a * a for wi, a in zip(w, dx)) / wsum
+    vy = math.fsum(wi * b * b for wi, b in zip(w, dy)) / wsum
     if vx <= 0.0 or vy <= 0.0:
         raise ValueError("zero weighted variance")
 
@@ -276,6 +294,8 @@ def wilcoxon_signed_rank_paired(x, y) -> float:
     approximation with tie and continuity corrections is used. All
     differences zero gives p = 1.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -289,30 +309,20 @@ def wilcoxon_signed_rank_paired(x, y) -> float:
 
     ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
-
     if n <= _WILCOXON_EXACT_LIMIT:
-        return _wilcoxon_exact_tail(ranks, w_plus, n)
-    return _wilcoxon_normal_tail(np.abs(d), w_plus, n)
+        # Doubled ranks are integers even with average-rank ties, so the
+        # subset-sum distribution can be tabulated exactly.
+        ranks2 = np.rint(2.0 * ranks).astype(np.int64)
+        total = int(ranks2.sum())
+        counts = np.zeros(total + 1, dtype=np.int64)
+        counts[0] = 1
+        for r2 in ranks2:
+            counts[r2:] += counts[: total + 1 - r2].copy()
+        return int(counts[int(round(2.0 * w_plus)):].sum()) / 2**n
 
-
-def _wilcoxon_exact_tail(ranks: np.ndarray, w_plus: float, n: int) -> float:
-    # Doubled ranks are integers even with average-rank ties, so the
-    # subset-sum distribution can be tabulated exactly.
-    ranks2 = np.rint(2.0 * ranks).astype(np.int64)
-    total = int(ranks2.sum())
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
-    for r2 in ranks2:
-        counts[r2:] += counts[: total + 1 - r2].copy()
-    w2 = int(round(2.0 * w_plus))
-    tail = int(counts[w2:].sum())
-    return tail / 2**n
-
-
-def _wilcoxon_normal_tail(abs_d: np.ndarray, w_plus: float, n: int) -> float:
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(abs_d, return_counts=True)
+    _, tie_counts = np.unique(np.abs(d), return_counts=True)
     var -= float((tie_counts**3 - tie_counts).sum()) / 48.0
     if var <= 0.0:
         return 1.0 if w_plus <= mean else 0.0
@@ -322,6 +332,8 @@ def _wilcoxon_normal_tail(abs_d: np.ndarray, w_plus: float, n: int) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1 with average ranks for ties."""
+    import numpy as np
+
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)  # the rank of each distinct value's last copy
     return (ends - (counts - 1) / 2)[inverse]

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import shutil
@@ -138,6 +139,17 @@ def pipeline_dir(tmp_path_factory):
 
 def _run(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def _small_run(tmp_path, seed):
+    """A 20-user, 80-tweet fixture and a config that trains on all of it."""
+    data = write_pipeline_fixture(tmp_path / "d", seed=seed, n_users=20, n_tweets=80)
+    config = tmp_path / "c.conf"
+    config.write_text(
+        f"seed = 1\nout = {tmp_path / 'o'}\ntweets = {data['tweets']}\n"
+        f"labels = {data['labels']}\ntest_split = 0\nmaxent_max_iter = 60\n"
+    )
+    return data, config
 
 
 _STAGES = ("train", "classify", "timeseries", "flownet", "homophily", "gen-net", "sweep")
@@ -363,17 +375,8 @@ class TestErrorHandling:
             f"maxent.weights has shape ({k}, {v - 1}), expected ({k}, {v})"
         ]
 
-    def _small_run(self, tmp_path, seed):
-        data = write_pipeline_fixture(tmp_path / "d", seed=seed, n_users=20, n_tweets=80)
-        config = tmp_path / "c.conf"
-        config.write_text(
-            f"seed = 1\nout = {tmp_path / 'o'}\ntweets = {data['tweets']}\n"
-            f"labels = {data['labels']}\ntest_split = 0\nmaxent_max_iter = 60\n"
-        )
-        return data, config
-
     def test_invalid_utf8_in_a_tweet_still_trains(self, tmp_path):
-        data, config = self._small_run(tmp_path, seed=6)
+        data, config = _small_run(tmp_path, seed=6)
         raw = data["tweets"].read_bytes()
         assert raw.count(b'"text": "') == 80
         data["tweets"].write_bytes(raw.replace(b'"text": "', b'"text": "\xff', 1))
@@ -382,7 +385,7 @@ class TestErrorHandling:
         assert "skipped" not in result.output
 
     def test_null_text_is_skipped_and_counted(self, tmp_path):
-        data, config = self._small_run(tmp_path, seed=6)
+        data, config = _small_run(tmp_path, seed=6)
         with open(data["tweets"], "a") as fh:
             fh.write('{"id": "tx", "user_id": "u1", "timestamp": "2009-10-02T08:30:00Z", '
                      '"text": null}\n')
@@ -391,7 +394,7 @@ class TestErrorHandling:
         assert "skipped 1 malformed tweet line(s)" in result.output
 
     def test_invalid_utf8_in_the_config_is_replaced_not_a_traceback(self, tmp_path):
-        _, config = self._small_run(tmp_path, seed=6)
+        _, config = _small_run(tmp_path, seed=6)
         # in a comment the byte changes nothing...
         config.write_bytes(config.read_bytes() + b"# caf\xff\n")
         assert _run(["train", "--config", str(config)]).exit_code == 0
@@ -406,7 +409,7 @@ class TestErrorHandling:
         ids=["unknown-label", "one-column", "three-columns"],
     )
     def test_bad_label_row_is_usage_error_with_location(self, tmp_path, row):
-        data, config = self._small_run(tmp_path, seed=6)
+        data, config = _small_run(tmp_path, seed=6)
         line = len(data["labels"].read_text().splitlines()) + 1
         with open(data["labels"], "a") as fh:
             fh.write(row + "\n")
@@ -415,7 +418,7 @@ class TestErrorHandling:
         assert f"{data['labels']}:{line}: expected tweet_id,label" in result.output
 
     def test_headerless_labels_file_is_usage_error_with_location(self, tmp_path):
-        data, config = self._small_run(tmp_path, seed=6)
+        data, config = _small_run(tmp_path, seed=6)
         rows = data["labels"].read_text().splitlines()
         assert rows[0] == "tweet_id,label"
         data["labels"].write_text("\n".join(rows[1:]) + "\n")
@@ -759,6 +762,40 @@ class TestSeedOverride:
         assert manifest["seed"] == 77
 
 
+class TestLogLevel:
+    def _train_with_a_bad_line(self, tmp_path, *flags):
+        data, config = _small_run(tmp_path, seed=6)
+        with open(data["tweets"], "a") as fh:
+            fh.write("not json\n")
+        result = _run([*flags, "train", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert "skipped 1 malformed tweet line(s)" in result.stdout
+        return f"{data['tweets']}:81: invalid JSON (Expecting value), skipped", result
+
+    def test_the_default_level_writes_the_warning_and_no_info(self, tmp_path):
+        warning, result = self._train_with_a_bad_line(tmp_path)
+        assert result.stderr == warning + "\n"
+
+    @pytest.mark.parametrize(
+        "flags", [["-v"], ["-vv"], ["--log-level", "INFO"], ["--log-level", "error", "-vv"]]
+    )
+    def test_verbose_levels_add_the_maxent_line(self, tmp_path, flags):
+        warning, result = self._train_with_a_bad_line(tmp_path, *flags)
+        maxent = re.search(r"maxent converged after \d+ iterations", result.stdout).group()
+        assert result.stderr == f"{warning}\n{maxent}\n"
+
+    def test_the_error_level_drops_the_warning_but_not_the_count(self, tmp_path):
+        _, result = self._train_with_a_bad_line(tmp_path, "--log-level", "error")
+        assert result.stderr == ""
+
+    def test_runs_in_one_process_share_one_handler(self, tmp_path):
+        _, first = self._train_with_a_bad_line(tmp_path, "-v")
+        _, second = self._train_with_a_bad_line(tmp_path / "again", "-v")
+        assert second.stderr.splitlines()[1:] == first.stderr.splitlines()[1:]
+        [handler] = logging.getLogger("sentepi").handlers
+        assert isinstance(handler, cli._StderrHandler)
+
+
 _STAGE_MODULES = {
     f"sentepi.{name}" for name in ("classify", "epi", "flownet", "homophily", "synthetic", "timeseries")
 }
@@ -805,8 +842,17 @@ def test_classify_and_timeseries_processes_load_no_scipy_sparse_or_special(
     assert not _scipy(modules)
 
 
+def test_importing_stats_loads_no_numpy_or_process_pool():
+    modules = _imported_modules("-c", "import sentepi.stats")
+    assert "sentepi.stats" in modules
+    assert not {"numpy", "concurrent.futures"}.intersection(modules)
+
+
 @pytest.mark.parametrize(
-    "stage, libraries", [("train", {"numpy", "scipy"}), ("classify", {"numpy"})], ids=["train", "classify"]
+    "stage, libraries",
+    [("train", {"numpy", "scipy"}), ("classify", {"numpy"}), ("timeseries", set()),
+     ("flownet", set())],
+    ids=["train", "classify", "timeseries", "flownet"],
 )
 def test_a_manifest_records_the_versions_of_the_libraries_its_stage_uses(
     run_copy, pipeline_dir, finished_out, stage, libraries
@@ -816,6 +862,8 @@ def test_a_manifest_records_the_versions_of_the_libraries_its_stage_uses(
         "--out", str(run_copy.out),
     )
     assert bool(_scipy(modules)) == ("scipy" in libraries)
+    assert ("numpy" in modules) == ("numpy" in libraries)
+    assert "concurrent.futures.process" not in modules  # none of these stages runs a pool
     manifest = (run_copy.out / f"manifest_{stage}.json").read_bytes()
     assert set(json.loads(manifest)["versions"]) == {"sentepi", "python", *libraries}
     # A fresh process writes the bytes of the in-process run, which ran train first.

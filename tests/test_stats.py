@@ -129,6 +129,48 @@ class TestWeightedPearson:
         assert r2 == pytest.approx(r, abs=1e-9)
 
 
+def _numpy_weighted_pearson(x, y, w):
+    """The numpy formula ``weighted_pearson`` used before its sums became
+    ``math.fsum``: the reference for its oracle."""
+    x, y, w = (np.asarray(column, dtype=float) for column in (x, y, w))
+    wsum = w.sum()
+    dx = x - float((w * x).sum() / wsum)
+    dy = y - float((w * y).sum() / wsum)
+    cov = float((w * dx * dy).sum() / wsum)
+    r = max(-1.0, min(1.0, cov / math.sqrt(float((w * dx * dx).sum() / wsum)
+                                             * float((w * dy * dy).sum() / wsum))))
+    return r, _p_of_r(r, x.size)
+
+
+def _p_of_r(r, n):
+    if 1.0 - r * r < 1e-15:
+        return 0.0
+    return min(1.0, _t_two_sided(r * math.sqrt((n - 2) / (1.0 - r * r)), n - 2))
+
+
+class TestWeightedPearsonOracle:
+    def test_agrees_with_the_numpy_formula_within_4_ulps_of_one(self):
+        # The sums' rounding error is a few ulps of sum |w dx dy|, which
+        # Cauchy-Schwarz bounds by sqrt(vx * vy): so r is compared in ulps
+        # of 1, not of r (near r = 0 the numpy formula is itself over 100
+        # ulps of r from the exact value). p moves with r by |dp/dr| times
+        # that, and by the t tail's own rounding (up to 1e-13 of p for a
+        # change in r of 0.1 ulp of 1, from lgamma(nu / 2)), which
+        # test_t_tail_matches_scipy_stdtr bounds at 1e-12.
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(3, 301))
+            rho = rng.uniform(-1.0, 1.0)
+            x = rng.normal(size=n)
+            y = rho * x + math.sqrt(1.0 - rho * rho) * rng.normal(size=n)
+            w = rng.uniform(0.1, 10.0, size=n)
+            r, p = weighted_pearson(x, y, w)
+            r_ref, p_ref = _numpy_weighted_pearson(x, y, w)
+            assert abs(r - r_ref) <= 4 * math.ulp(1.0), (n, r, r_ref)
+            slope = abs(_p_of_r(r_ref + 1e-6, n) - _p_of_r(r_ref - 1e-6, n)) / 2e-6
+            assert p == pytest.approx(p_ref, rel=1e-12, abs=4 * math.ulp(1.0) * slope), n
+
+
 @functools.lru_cache(maxsize=4)
 def _table_weights(n, row1, col1):
     """``C(row1, k) * C(n - row1, col1 - k)`` for each feasible k, with
@@ -348,6 +390,15 @@ class TestLargestComponent:
     def test_strictly_larger_component_wins(self):
         keep = largest_component(6, np.array([0, 3, 4]), np.array([1, 4, 5]))
         assert np.flatnonzero(keep).tolist() == [3, 4, 5]
+
+
+    def test_lists_and_arrays_give_the_same_list_of_bools(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 40, 200):
+            u, v = rng.integers(0, n, size=(2, n))
+            masks = largest_component(n, u.tolist(), v.tolist()), largest_component(n, u, v)
+            assert masks[0] == masks[1] and len(masks[0]) == n
+            assert all(type(member) is bool for mask in masks for member in mask)
 
 
 class TestIndexEdges:
