@@ -14,7 +14,10 @@ in the size of the outbreak, not of the network. The vaccination
 redistribution hill-climb raises the vaccinated/unvaccinated
 assortativity to a target while holding coverage fixed, updating the
 coefficient incrementally from integer edge counts. R0 runs stop as
-soon as the index case's secondary count is final.
+soon as the index case's secondary count is final. The synthetic
+network generator draws its node pairs one block of rows at a time, so
+its memory is bounded by the block and the edges it keeps, not by the
+n(n-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -398,6 +401,25 @@ def _two_type_r(svv: int, suu: int, m: int) -> float:
     return (sii - sab) / (1.0 - sab)
 
 
+def _r_rises(svv: int, suu: int, new_svv: int, new_suu: int, m: int) -> bool:
+    """Whether ``_two_type_r`` of the new counts exceeds that of the old
+    ones in exact arithmetic.
+
+    With D = m + svv - suu, r = (4m(svv + suu) - D^2 - (2m - D)^2) /
+    (2D(2m - D)), whose denominator is positive outside the single-type
+    case, so the two fractions compare by cross-multiplying integers.
+    """
+
+    def fraction(svv: int, suu: int) -> tuple[int, int]:
+        d = m + svv - suu
+        if d <= 0 or d >= 2 * m:
+            return 1, 1
+        return 4 * m * (svv + suu) - d * d - (2 * m - d) ** 2, 2 * d * (2 * m - d)
+
+    (a, b), (c, d) = fraction(new_svv, new_suu), fraction(svv, suu)
+    return a * d > c * b
+
+
 def vaccination_assortativity(net: ContactNetwork, vac: VaccinationAssignment) -> float:
     """Assortativity of vaccination status over the eligible edge set."""
     if net.m == 0:
@@ -426,7 +448,9 @@ def redistribute(
     strictly increases, and stops once it exceeds the target. Coverage
     never changes. The coefficient is maintained incrementally from
     integer edge-class counts in O(deg(x) + deg(y)) per trial, which is
-    exact, so it cannot drift from a fresh recomputation.
+    exact, so it cannot drift from a fresh recomputation; a swap whose r
+    is within rounding of the current one is judged on the exact r of
+    those counts, so a swap that leaves r unchanged is never kept.
 
     If the assignment already exceeds the target it is returned
     unchanged (as a copy). ``max_stall`` consecutive rejected swaps
@@ -451,6 +475,10 @@ def redistribute(
     neighbors = net.neighbor_lists
     vacc_nodes = np.flatnonzero(vacc).tolist()
     unvacc_nodes = np.flatnonzero(~vacc).tolist()
+    # _two_type_r rounds each r by under 3e-15 m (its 1 - sab is at least
+    # 1/2m), so floats further apart than this decide the order of the exact
+    # values and nearer ones are compared by _r_rises
+    tie = 1e-12 * m
     gen = stream.generator()
     stall = 0
     while True:
@@ -465,13 +493,13 @@ def redistribute(
             dsvv = sum(map(is_vacc, ny)) - (y in nx) - sum(map(is_vacc, nx))
             new_svv, new_suu = svv + dsvv, suu + dsvv + deg[x] - deg[y]
             new_r = _two_type_r(new_svv, new_suu, m)
-            if new_r > r:
+            if new_r > r + tie or (new_r >= r - tie and _r_rises(svv, suu, new_svv, new_suu, m)):
                 svv, suu, r = new_svv, new_suu, new_r
-                status[x], status[y] = False, True
+                status[x], status[y] = vacc[x], vacc[y] = False, True
                 vacc_nodes[i], unvacc_nodes[j] = y, x
                 stall = 0
                 if r > target_r:
-                    return VaccinationAssignment(np.array(status, dtype=bool))
+                    return VaccinationAssignment(vacc)
             else:
                 stall += 1
                 if stall >= max_stall:
@@ -604,6 +632,10 @@ def _relative_risk(p: float, p_baseline: float) -> float:
     return math.inf
 
 
+# Node pairs drawn per block by generate_synthetic_contact_network (at least one row).
+_PAIR_BLOCK = 1 << 16
+
+
 def generate_synthetic_contact_network(
     n_nodes: int,
     n_groups: int,
@@ -619,7 +651,9 @@ def generate_synthetic_contact_network(
     pair with ``p_inter``. Weights are uniform integers over
     ``weight_range`` (whose low end must be >= MIN_EDGE_WEIGHT). Only
     the largest connected component is kept, relabeled 0..n'-1; the
-    pruned size is logged.
+    pruned size is logged. The pairs are drawn in blocks of rows of
+    about 65,536 pairs, which bounds the memory; the network is the one
+    a single draw over all pairs gives.
     """
     if n_nodes <= 1 or n_groups < 1:
         raise ValueError("need at least 2 nodes and 1 group")
@@ -631,10 +665,18 @@ def generate_synthetic_contact_network(
 
     gen = stream.generator()
     groups = np.sort(np.arange(n_nodes) % n_groups)
-    iu, ju = np.triu_indices(n_nodes, k=1)
-    prob = np.where(groups[iu] == groups[ju], p_intra, p_inter)
-    mask = gen.random(prob.size) < prob
-    u, v = iu[mask], ju[mask]
+    # pairs (i, j > i) in row-major order, a block of rows per draw; the
+    # uniforms come out of the stream as from one draw over all pairs
+    rows = max(1, _PAIR_BLOCK // n_nodes)
+    hits_u, hits_v = [], []
+    for a in range(0, n_nodes - 1, rows):
+        i, j = np.nonzero(np.triu(np.ones((min(rows, n_nodes - 1 - a), n_nodes), bool), k=a + 1))
+        i += a
+        prob = np.where(groups[i] == groups[j], p_intra, p_inter)
+        mask = gen.random(i.size) < prob
+        hits_u.append(i[mask])
+        hits_v.append(j[mask])
+    u, v = np.concatenate(hits_u), np.concatenate(hits_v)
     if u.size == 0:
         raise ValueError("parameters produced no edges")
     w = gen.integers(lo, hi + 1, size=u.size)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -34,7 +35,7 @@ from sentepi.epi import (
 import sentepi
 from sentepi import InputError, epi
 from sentepi.epi import _incubation_steps
-from sentepi.stats import derive_stream
+from sentepi.stats import derive_stream, largest_component
 from sentepi.synthetic import default_contact_network
 
 
@@ -657,6 +658,74 @@ class TestRedistributeOracle:
         assert z2 < chi2.isf(1e-6, 1)
 
 
+class TestExactAcceptTest:
+    # The FOUND graph's {0, 1, 3, 5} and {1, 2, 3, 5}: exact r -1/10 both,
+    # but _two_type_r gives -0.1 and -0.09999999999999976.
+    EDGES = [(0, 1), (0, 4), (0, 7), (1, 3), (1, 4), (1, 6), (2, 4), (3, 4), (3, 5), (4, 5),
+             (4, 6)]
+
+    @staticmethod
+    def _exact_r(svv, suu, m):
+        a = Fraction(m + svv - suu, 2 * m)
+        if a <= 0 or a >= 1:
+            return Fraction(1)
+        sab = a * a + (1 - a) * (1 - a)
+        return (Fraction(svv + suu, m) - sab) / (1 - sab)
+
+    def test_r_rises_matches_fractions_on_random_counts(self):
+        rng = np.random.default_rng(60)
+        for m in (1, 2, 3, 11, 3829, 10**6):
+            for _ in range(400):
+                counts = []
+                for _ in range(2):
+                    svv = int(rng.integers(0, m + 1))
+                    counts += [svv, int(rng.integers(0, m - svv + 1))]
+                old, new = self._exact_r(*counts[:2], m), self._exact_r(*counts[2:], m)
+                assert epi._r_rises(*counts, m) == (new > old)
+                assert not epi._r_rises(*counts[:2], *counts[:2], m)
+
+    def test_float_r_rounds_by_under_3e_15_m(self):
+        # redistribute lets the floats decide only when they are more than
+        # 1e-12 m apart; the worst case is a vaccinated degree sum of 1 or 2m - 1
+        rng = np.random.default_rng(61)
+        for m in (1, 2, 11, 3829, 10**6, 10**9):
+            cases = [(int(s), int(rng.integers(0, m - s + 1)))
+                     for s in rng.integers(0, m + 1, size=200)]
+            cases += [(s, s + m - 1) for s in range(0, 3) if 2 * s + m - 1 <= m]
+            cases += [(s + m - 1, s) for s in range(0, 3) if 2 * s + m - 1 <= m]
+            for svv, suu in cases:
+                error = abs(Fraction(epi._two_type_r(svv, suu, m)) - self._exact_r(svv, suu, m))
+                assert error < Fraction(3, 10**15) * m
+
+    def test_equal_exact_r_with_unequal_floats_is_not_a_rise(self):
+        def counts(vaccinated):
+            return (sum(u in vaccinated and v in vaccinated for u, v in self.EDGES),
+                    sum(u not in vaccinated and v not in vaccinated for u, v in self.EDGES))
+
+        a, b = counts({0, 1, 3, 5}), counts({1, 2, 3, 5})
+        assert epi._two_type_r(*a, 11) != epi._two_type_r(*b, 11)
+        assert self._exact_r(*a, 11) == self._exact_r(*b, 11) == Fraction(-1, 10)
+        assert not epi._r_rises(*a, *b, 11) and not epi._r_rises(*b, *a, 11)
+
+    def test_climb_through_the_tie_follows_the_exact_chain(self):
+        # the float test kept the tying swap and ended in sets the exact
+        # chain never reaches, e.g. {0, 1, 2, 7}
+        start, target, runs = (0, 1, 3, 5), 0.0, 2000
+        final, _, _ = _redistribute_chain(8, self.EDGES, start, Fraction(target))
+        net = _net(8, [(u, v, 120) for u, v in self.EDGES])
+        vac = VaccinationAssignment(np.isin(np.arange(8), start))
+        finals = Counter(
+            frozenset(np.flatnonzero(redistribute(net, vac, target, derive_stream(951, i))
+                                     .vaccinated).tolist())
+            for i in range(runs)
+        )
+        assert set(finals) <= set(final)
+        observed = np.array([finals[s] for s in final], dtype=float)
+        expected = np.array([float(p) for p in final.values()]) * runs
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        assert statistic < chi2.isf(1e-6, len(final) - 1)
+
+
 class TestRedistribute:
     def test_two_clique_target_reached(self):
         net = _two_cliques(20)
@@ -806,7 +875,67 @@ class TestPinnedOutputs:
         )
 
 
+def _reference_generator(n_nodes, n_groups, p_intra, p_inter, weight_range, stream):
+    """generate_synthetic_contact_network as it drew all n(n-1)/2 pairs at once."""
+    lo, hi = int(weight_range[0]), int(weight_range[1])
+    gen = stream.generator()
+    groups = np.sort(np.arange(n_nodes) % n_groups)
+    iu, ju = np.triu_indices(n_nodes, k=1)
+    prob = np.where(groups[iu] == groups[ju], p_intra, p_inter)
+    mask = gen.random(prob.size) < prob
+    u, v = iu[mask], ju[mask]
+    if u.size == 0:
+        raise ValueError("parameters produced no edges")
+    w = gen.integers(lo, hi + 1, size=u.size)
+
+    keep = np.array(largest_component(n_nodes, u.tolist(), v.tolist()))
+    relabel = -np.ones(n_nodes, dtype=np.int64)
+    kept_nodes = np.flatnonzero(keep)
+    relabel[kept_nodes] = np.arange(kept_nodes.size)
+    edges = np.column_stack([relabel[u], relabel[v], w])[keep[u] & keep[v]].tolist()
+    return ContactNetwork.from_edges(int(kept_nodes.size), edges)
+
+
+def _network_or_error(make, *args):
+    try:
+        net = make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return net.n, net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist()
+
+
 class TestGenerator:
+    # (p_intra, p_inter) from 1.0 down to 0.001, the dense ones on small n only
+    @pytest.mark.parametrize("block", [None, 200])
+    @pytest.mark.parametrize("n", [2, 3, 65, 200, 257, 1000])
+    def test_blocks_draw_the_reference_network(self, monkeypatch, n, block):
+        # a 200-pair block is one row for n >= 100 and a partial last block at n = 65
+        if block is not None:
+            monkeypatch.setattr(epi, "_PAIR_BLOCK", block)
+        probabilities = [(0.02, 0.001), (0.001, 0.001), (0.0, 0.0)]
+        probabilities += [(1.0, 1.0), (1.0, 0.0)] if n <= 65 else []
+        probabilities += [(0.3, 0.02)] if n <= 257 else []
+        outcomes = Counter()
+        for groups in range(1, 6):
+            for p_intra, p_inter in probabilities:
+                args = (n, groups, p_intra, p_inter, (90, 210), derive_stream(55, n, groups))
+                reference = _network_or_error(_reference_generator, *args)
+                assert _network_or_error(generate_synthetic_contact_network, *args) == reference
+                outcomes[isinstance(reference, str)] += 1
+        assert outcomes[False] > 0 and outcomes[True] > 0  # "parameters produced no edges"
+
+    def test_pair_draw_memory_is_bounded(self):
+        # the all-pairs draw peaked at 251.7 MB here
+        tracemalloc.start()
+        try:
+            generate_synthetic_contact_network(
+                4000, 3, 0.00525, 0.0003125, (90, 210), derive_stream(73)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_weights_within_range_and_eligible(self):
         net = generate_synthetic_contact_network(
             200, 4, 0.1, 0.005, (90, 140), derive_stream(50)
