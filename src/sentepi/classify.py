@@ -223,7 +223,7 @@ def _training_set(
         )
     tokens = set()
     for tv, _ in docs:
-        tokens.update(tv.counts)
+        tokens.update(tv.tokens)
     vocabulary = {token: i for i, token in enumerate(sorted(tokens))}
     X = featurize([tv for tv, _ in docs], vocabulary)
     y = np.array([labels.index(label) for _, label in docs], dtype=np.int64)

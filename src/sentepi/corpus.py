@@ -10,8 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -62,7 +61,7 @@ STOP_WORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
     """One short message. ``text`` is nominally <= 140 visible characters;
     that bound is documented, not enforced."""
@@ -74,17 +73,25 @@ class Tweet:
     region: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenVector:
-    """Normalized token sequence plus per-token multiplicities."""
+    """Normalized token sequence, the one stored field; :attr:`counts`
+    derives the per-token multiplicities from it on each access."""
 
     tokens: tuple[str, ...]
-    counts: dict[str, int] = field(compare=False)
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "TokenVector":
-        toks = tuple(tokens)
-        return cls(tokens=toks, counts=dict(Counter(toks)))
+        """The vector of ``tokens``, kept in order as one tuple."""
+        return cls(tuple(tokens))
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Multiplicity of each distinct token, keyed in first-seen order."""
+        counts: dict[str, int] = {}
+        for token in self.tokens:
+            counts[token] = counts.get(token, 0) + 1
+        return counts
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -97,16 +104,21 @@ def parse_tweets(lines: IO | Iterable[str]) -> tuple[list[Tweet], int]:
     :func:`_parse_tweet` rejects, or that repeats an earlier line's id, is
     skipped and logged as ``name:line: reason``. Blank lines are ignored.
     Raises OSError only if ``lines`` itself cannot be read.
+
+    Within one call, tweets with equal ``user_id`` (or ``region``) values
+    share one ``str`` object, so a user's id is held once however many
+    tweets they wrote.
     """
     tweets: list[Tweet] = []
     seen_ids: set[str] = set()
+    shared: dict[str, str] = {}
     skipped = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            tweet = _parse_tweet(line)
+            tweet = _parse_tweet(line, shared)
             if tweet.id in seen_ids:
                 raise ValueError(f"duplicate tweet id {tweet.id!r}")
         except ValueError as exc:
@@ -127,8 +139,9 @@ _JSON_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean",
                type(None): "null", list: "array", dict: "object"}
 
 
-def _parse_tweet(line: str) -> Tweet:
-    """The tweet on one JSON line; raises ValueError naming the problem."""
+def _parse_tweet(line: str, shared: dict[str, str]) -> Tweet:
+    """The tweet on one JSON line, its user id and region taken from (or
+    added to) ``shared``; raises ValueError naming the problem."""
     record = json.loads(line)
     if type(record) is not dict:
         raise ValueError(f"expected a JSON object, got {_JSON_NAMES[type(record)]}")
@@ -145,12 +158,13 @@ def _parse_tweet(line: str) -> Tweet:
     except (ValueError, OverflowError) as exc:
         reason = str(exc).partition(": ")[0]  # cut before datetime quotes its rewritten input
         raise ValueError(f"timestamp {record['timestamp']!r}: {reason}") from None
+    user_id, region = str(record["user_id"]), record.get("region")
     return Tweet(
         id=str(record["id"]),
-        user_id=str(record["user_id"]),
+        user_id=shared.setdefault(user_id, user_id),
         timestamp=ts,
         text=record["text"],
-        region=record.get("region"),
+        region=None if region is None else shared.setdefault(region, region),
     )
 
 

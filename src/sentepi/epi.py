@@ -401,23 +401,33 @@ def _two_type_r(svv: int, suu: int, m: int) -> float:
     return (sii - sab) / (1.0 - sab)
 
 
-def _r_rises(svv: int, suu: int, new_svv: int, new_suu: int, m: int) -> bool:
-    """Whether ``_two_type_r`` of the new counts exceeds that of the old
-    ones in exact arithmetic.
+def _r_fraction(svv: int, suu: int, m: int) -> tuple[int, int]:
+    """The exact ``_two_type_r`` as integers (numerator, denominator > 0).
 
     With D = m + svv - suu, r = (4m(svv + suu) - D^2 - (2m - D)^2) /
     (2D(2m - D)), whose denominator is positive outside the single-type
-    case, so the two fractions compare by cross-multiplying integers.
+    case, so two such fractions compare by cross-multiplying.
     """
+    d = m + svv - suu
+    if d <= 0 or d >= 2 * m:
+        return 1, 1
+    return 4 * m * (svv + suu) - d * d - (2 * m - d) ** 2, 2 * d * (2 * m - d)
 
-    def fraction(svv: int, suu: int) -> tuple[int, int]:
-        d = m + svv - suu
-        if d <= 0 or d >= 2 * m:
-            return 1, 1
-        return 4 * m * (svv + suu) - d * d - (2 * m - d) ** 2, 2 * d * (2 * m - d)
 
-    (a, b), (c, d) = fraction(new_svv, new_suu), fraction(svv, suu)
+def _r_rises(svv: int, suu: int, new_svv: int, new_suu: int, m: int) -> bool:
+    """Whether ``_two_type_r`` of the new counts exceeds that of the old
+    ones in exact arithmetic."""
+    (a, b), (c, d) = _r_fraction(new_svv, new_suu, m), _r_fraction(svv, suu, m)
     return a * d > c * b
+
+
+def _r_exceeds(svv: int, suu: int, m: int, r: float, target_r: float, tie: float) -> bool:
+    """Whether the exact r of the counts, whose float is ``r``, exceeds
+    ``target_r``; the floats decide unless they are within ``tie``."""
+    if abs(r - target_r) <= tie:
+        (a, b), (p, q) = _r_fraction(svv, suu, m), target_r.as_integer_ratio()
+        return a * q > p * b
+    return r > target_r
 
 
 def vaccination_assortativity(net: ContactNetwork, vac: VaccinationAssignment) -> float:
@@ -449,8 +459,10 @@ def redistribute(
     never changes. The coefficient is maintained incrementally from
     integer edge-class counts in O(deg(x) + deg(y)) per trial, which is
     exact, so it cannot drift from a fresh recomputation; a swap whose r
-    is within rounding of the current one is judged on the exact r of
-    those counts, so a swap that leaves r unchanged is never kept.
+    is within rounding of the current one, or an r within rounding of
+    ``target_r``, is judged on the exact r of those counts, so a swap
+    that leaves r unchanged is never kept and the climb stops as soon as
+    the exact r exceeds the target.
 
     If the assignment already exceeds the target it is returned
     unchanged (as a copy). ``max_stall`` consecutive rejected swaps
@@ -466,7 +478,11 @@ def redistribute(
     svv, suu = _mixing_counts(net, vacc)
     m = net.m
     r = _two_type_r(svv, suu, m)
-    if r > target_r:
+    # _two_type_r rounds each r by under 3e-15 m (its 1 - sab is at least
+    # 1/2m), so floats further apart than this decide the order of the exact
+    # values and nearer ones are compared by _r_rises and _r_exceeds
+    tie = 1e-12 * m
+    if _r_exceeds(svv, suu, m, r, target_r, tie):
         return VaccinationAssignment(vacc)
 
     status = vacc.tolist()
@@ -475,10 +491,6 @@ def redistribute(
     neighbors = net.neighbor_lists
     vacc_nodes = np.flatnonzero(vacc).tolist()
     unvacc_nodes = np.flatnonzero(~vacc).tolist()
-    # _two_type_r rounds each r by under 3e-15 m (its 1 - sab is at least
-    # 1/2m), so floats further apart than this decide the order of the exact
-    # values and nearer ones are compared by _r_rises
-    tie = 1e-12 * m
     gen = stream.generator()
     stall = 0
     while True:
@@ -498,7 +510,7 @@ def redistribute(
                 status[x], status[y] = vacc[x], vacc[y] = False, True
                 vacc_nodes[i], unvacc_nodes[j] = y, x
                 stall = 0
-                if r > target_r:
+                if _r_exceeds(svv, suu, m, r, target_r, tie):
                     return VaccinationAssignment(vacc)
             else:
                 stall += 1

@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
 import io
 import json
+import pickle
 import random
+import tracemalloc
+from collections import Counter
 from datetime import datetime, timezone
 from string import ascii_lowercase
 
@@ -13,6 +17,7 @@ from sentepi import InputError
 from sentepi.corpus import (
     STOP_WORDS,
     SentimentLabel,
+    TokenVector,
     Tweet,
     parse_labels,
     parse_tweets,
@@ -20,6 +25,7 @@ from sentepi.corpus import (
 )
 from sentepi.corpus import _chunk_tokens, _stem_fixpoint
 from sentepi.stemming import stem
+from sentepi.synthetic import write_pipeline_fixture
 
 # Full-pipeline values for the worked examples that come with the
 # algorithm definition, each hand-traced through all steps. Entries
@@ -314,3 +320,81 @@ class TestChunkMemo:
 
     def test_cache_is_bounded(self):
         assert _chunk_tokens.cache_info().maxsize == 1 << 16
+
+
+@pytest.fixture(scope="module")
+def fixture_lines(tmp_path_factory):
+    """The tweets.jsonl lines of the bundled pipeline fixture (1,500 tweets)."""
+    paths = write_pipeline_fixture(tmp_path_factory.mktemp("fixture"), seed=0)
+    return paths["tweets"].read_text().splitlines()
+
+
+def _retained_bytes(build):
+    """(result of ``build()``, bytes it still holds once built)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordShape:
+    def test_records_are_slotted(self, fixture_lines):
+        tweet = parse_tweets(fixture_lines[:1])[0][0]
+        assert not hasattr(tweet, "__dict__")
+        assert not hasattr(tokenize(tweet.text), "__dict__")
+
+    def test_token_vector_stores_only_its_tokens(self):
+        assert [f.name for f in dataclasses.fields(TokenVector)] == ["tokens"]
+
+    def test_counts_are_derived_in_first_seen_order(self, fixture_lines):
+        tweets, _ = parse_tweets(fixture_lines)
+        for tweet in tweets:
+            tv = tokenize(tweet.text)
+            expected = dict(Counter(tv.tokens))
+            assert tv.counts == expected
+            assert list(tv.counts) == list(expected)
+
+    def test_equality_hash_and_pickle_follow_the_fields(self):
+        tv = TokenVector.from_tokens(["shot", "!", "shot"])
+        same = TokenVector(("shot", "!", "shot"))
+        assert tv == same and hash(tv) == hash(same)
+        assert tv != TokenVector(("shot", "shot", "!"))
+        tweet = parse_tweets([_tweet_line()])[0][0]
+        twin = parse_tweets([_tweet_line()])[0][0]
+        assert tweet == twin and hash(tweet) == hash(twin)
+        assert tweet != parse_tweets([_tweet_line(region="R02")])[0][0]
+        for record in (tv, tweet):
+            back = pickle.loads(pickle.dumps(record))
+            assert back == record and hash(back) == hash(record)
+            assert type(back) is type(record)
+
+    @pytest.mark.parametrize("user", ["u7", 7], ids=["string-id", "integer-id"])
+    def test_repeated_user_and_region_share_one_string(self, user):
+        lines = [_tweet_line(id="t1", user_id=user), _tweet_line(id="t2", user_id=user),
+                 _tweet_line(id="t3", user_id="u8")]
+        first, second, other = parse_tweets(lines)[0]
+        assert first.user_id == second.user_id == str(user)
+        assert first.user_id is second.user_id
+        assert first.region is second.region is other.region == "R01"
+
+
+class TestRecordMemory:
+    # Bytes retained per tweet on the fixture: a Tweet holding a per-line
+    # copy of its user id and region in a __dict__ took about 452, and a
+    # TokenVector that also held a counts dict about 546; the slotted
+    # records with shared strings and derived counts take about 310 and 167.
+    TWEET_BOUND, TOKEN_VECTOR_BOUND = 380, 350
+
+    def test_parsed_tweet_bytes_are_bounded(self, fixture_lines):
+        (tweets, skipped), held = _retained_bytes(lambda: parse_tweets(fixture_lines))
+        assert (len(tweets), skipped) == (1500, 0)
+        assert held / len(tweets) < self.TWEET_BOUND
+
+    def test_token_vector_bytes_are_bounded(self, fixture_lines):
+        texts = [tweet.text for tweet in parse_tweets(fixture_lines)[0]]
+        for text in texts:  # warm the chunk memo, which the vectors then share
+            tokenize(text)
+        vectors, held = _retained_bytes(lambda: [tokenize(text) for text in texts])
+        assert held / len(vectors) < self.TOKEN_VECTOR_BOUND

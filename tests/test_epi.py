@@ -684,6 +684,19 @@ class TestExactAcceptTest:
                 assert epi._r_rises(*counts, m) == (new > old)
                 assert not epi._r_rises(*counts[:2], *counts[:2], m)
 
+    def test_r_exceeds_matches_fractions_near_the_float_r(self):
+        rng = np.random.default_rng(62)
+        for m in (1, 2, 3, 11, 3829, 10**6):
+            tie = 1e-12 * m
+            for _ in range(200):
+                svv = int(rng.integers(0, m + 1))
+                suu = int(rng.integers(0, m - svv + 1))
+                r, exact = epi._two_type_r(svv, suu, m), self._exact_r(svv, suu, m)
+                for target in (r, np.nextafter(r, -2.0), np.nextafter(r, 2.0),
+                               r - tie / 2, r + tie / 2, r - 2 * tie, r + 2 * tie):
+                    target = float(target)
+                    assert epi._r_exceeds(svv, suu, m, r, target, tie) == (exact > Fraction(target))
+
     def test_float_r_rounds_by_under_3e_15_m(self):
         # redistribute lets the floats decide only when they are more than
         # 1e-12 m apart; the worst case is a vaccinated degree sum of 1 or 2m - 1
@@ -707,15 +720,12 @@ class TestExactAcceptTest:
         assert self._exact_r(*a, 11) == self._exact_r(*b, 11) == Fraction(-1, 10)
         assert not epi._r_rises(*a, *b, 11) and not epi._r_rises(*b, *a, 11)
 
-    def test_climb_through_the_tie_follows_the_exact_chain(self):
-        # the float test kept the tying swap and ended in sets the exact
-        # chain never reaches, e.g. {0, 1, 2, 7}
-        start, target, runs = (0, 1, 3, 5), 0.0, 2000
+    def _climbs_follow_the_exact_chain(self, start, target, seed, runs=2000):
         final, _, _ = _redistribute_chain(8, self.EDGES, start, Fraction(target))
         net = _net(8, [(u, v, 120) for u, v in self.EDGES])
         vac = VaccinationAssignment(np.isin(np.arange(8), start))
         finals = Counter(
-            frozenset(np.flatnonzero(redistribute(net, vac, target, derive_stream(951, i))
+            frozenset(np.flatnonzero(redistribute(net, vac, target, derive_stream(seed, i))
                                      .vaccinated).tolist())
             for i in range(runs)
         )
@@ -724,6 +734,28 @@ class TestExactAcceptTest:
         expected = np.array([float(p) for p in final.values()]) * runs
         statistic = float(((observed - expected) ** 2 / expected).sum())
         assert statistic < chi2.isf(1e-6, len(final) - 1)
+
+    def test_climb_through_the_tie_follows_the_exact_chain(self):
+        # the float test kept the tying swap and ended in sets the exact
+        # chain never reaches, e.g. {0, 1, 2, 7}
+        self._climbs_follow_the_exact_chain((0, 1, 3, 5), 0.0, 951)
+
+    def test_start_whose_exact_r_beats_the_target_is_returned(self):
+        # the exact r -1/10 of {0, 1, 3, 5} exceeds the float -0.1, whose
+        # value is -0.1000000000000000055..., but its float r is -0.1 itself,
+        # so the float stop test climbed on
+        start = (0, 1, 3, 5)
+        net = _net(8, [(u, v, 120) for u, v in self.EDGES])
+        vac = VaccinationAssignment(np.isin(np.arange(8), start))
+        assert epi._two_type_r(*epi._mixing_counts(net, vac.vaccinated), net.m) == -0.1
+        for i in range(200):
+            out = redistribute(net, vac, -0.1, derive_stream(953, i))
+            assert np.array_equal(out.vaccinated, vac.vaccinated)
+
+    def test_climb_stops_on_a_swap_whose_exact_r_beats_the_target(self):
+        # from {0, 3, 4, 5} (r -5/28) one accepted swap ends every exact climb,
+        # one time in eight on {0, 1, 3, 5}, where the float stop test went on
+        self._climbs_follow_the_exact_chain((0, 3, 4, 5), -0.1, 954)
 
 
 class TestRedistribute:
