@@ -2,7 +2,7 @@
 
 Commands share one flat ``key = value`` configuration file; flags win
 over file values. All randomness flows from the single master seed
-through per-command stream paths; ``gen-net`` writes the calibrated
+through per-command stream paths; ``gen-net`` copies the calibrated
 contact network, the same for every seed. Every command is a pipeline
 stage registered through :func:`_stage`, which checks the stage's inputs
 and its upstream chain, deletes its own manifest first and writes it
@@ -45,8 +45,8 @@ import click
 from . import InputError, StallError, __version__, read_mapping, write_csv, write_text
 from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
 
-# Stream path roots, one per command. gen-net draws nothing (it writes the
-# calibrated network), but its root stays reserved so sweep keeps root 6.
+# Stream path roots, one per command. gen-net draws nothing (it copies a
+# bundled file), but its root stays reserved so sweep keeps root 6.
 _TRAIN, _CLASSIFY, _TIMESERIES, _FLOWNET, _HOMOPHILY, _GENNET, _SWEEP = range(7)
 _STAGES: dict = {}  # name -> (required input keys, config -> upstream stage or None)
 
@@ -147,8 +147,8 @@ _RANGES = {
     "seed": (lambda value: value >= 0, "non-negative"),
     "coverage": (lambda value: 0 < value < 1, "in (0, 1)"),
     "test_split": (lambda value: 0 <= value < 1, "in [0, 1)"),
-    "r_grid": (lambda grid: grid and all(a < b for a, b in zip(grid, grid[1:])),
-               "non-empty and strictly ascending"),
+    "r_grid": (lambda grid: grid and all(a < b for a, b in zip(grid, grid[1:])) and grid[-1] < 1,
+               "non-empty, strictly ascending and below 1"),
     "nb_smoothing": (lambda value: value > 0, "positive"),
     "maxent_l2": (lambda value: value >= 0, "non-negative"),
     "maxent_tol": (lambda value: value > 0, "positive"),
@@ -582,15 +582,15 @@ def homophily_cmd(config: RunConfig, workers: int) -> list[str]:
     return [null_path.name, comm_path.name, summary_path.name]
 
 
-@_stage("gen-net")
+@_stage("gen-net", libraries=())
 def gen_net(config: RunConfig) -> list[str]:
     """Write the calibrated contact network; it reads no config key."""
-    from . import epi, synthetic
-
-    net = synthetic.default_contact_network()
+    text = Path(__file__).with_name("contact_network.csv").read_bytes().decode("utf-8")
+    rows = text.splitlines()[1:]
     net_path = config.out / "contact_network.csv"
-    epi.write_contact_network(net_path, net)
-    click.echo(f"wrote {net_path}: {net.n} nodes, {net.m} edges")
+    write_text(net_path, text)
+    nodes = 1 + max(int(row.split(",")[1]) for row in rows)  # v > u on every row
+    click.echo(f"wrote {net_path}: {nodes} nodes, {len(rows)} edges")
     return [net_path.name]
 
 

@@ -12,8 +12,8 @@ individuals start in the recovered class. A run holds only its active
 nodes (exposed, infectious and awaiting a window), so a step costs time
 in the size of the outbreak, not of the network. The vaccination
 redistribution hill-climb raises the vaccinated/unvaccinated
-assortativity to a target while holding coverage fixed, updating the
-coefficient incrementally from integer edge counts. R0 runs stop as
+assortativity to a target at fixed coverage, pricing each trial swap in
+O(1) from per-node counts of vaccinated neighbours. R0 runs stop as
 soon as the index case's secondary count is final. The synthetic
 network generator draws its node pairs one block of rows at a time, so
 its memory is bounded by the block and the edges it keeps, not by the
@@ -56,7 +56,6 @@ __all__ = [
     "sweep",
     "generate_synthetic_contact_network",
     "read_contact_network",
-    "write_contact_network",
     "write_sweep_csv",
 ]
 
@@ -444,6 +443,12 @@ def _mixing_counts(net: ContactNetwork, vacc: np.ndarray) -> tuple[int, int]:
     return int((uu & vv).sum()), int((~uu & ~vv).sum())
 
 
+def _checked_target(target_r: float) -> float:
+    if not (math.isfinite(target_r) and target_r < 1.0):  # r <= 1, so no climb exceeds it
+        raise ValueError(f"target r must be finite and below 1, got {target_r!r}")
+    return target_r
+
+
 def redistribute(
     net: ContactNetwork,
     vac: VaccinationAssignment,
@@ -457,17 +462,21 @@ def redistribute(
     swaps their statuses, keeps the swap only if the assortativity
     strictly increases, and stops once it exceeds the target. Coverage
     never changes. The coefficient is maintained incrementally from
-    integer edge-class counts in O(deg(x) + deg(y)) per trial, which is
-    exact, so it cannot drift from a fresh recomputation; a swap whose r
-    is within rounding of the current one, or an r within rounding of
+    integer edge-class counts, which is exact, so it cannot drift from a
+    fresh recomputation. Each node's count of vaccinated neighbours, built
+    once per call, prices a trial in O(1); only an accepted swap walks the
+    neighbours of x and y, to update those counts. A swap whose r is
+    within rounding of the current one, or an r within rounding of
     ``target_r``, is judged on the exact r of those counts, so a swap
     that leaves r unchanged is never kept and the climb stops as soon as
     the exact r exceeds the target.
 
     If the assignment already exceeds the target it is returned
     unchanged (as a copy). ``max_stall`` consecutive rejected swaps
-    raise StallError carrying the best r achieved.
+    raise StallError carrying the best r achieved. A target that is not
+    finite or not below 1, which no r (at most 1) exceeds, raises ValueError.
     """
+    _checked_target(target_r)
     if net.m == 0:
         raise ValueError("cannot redistribute on an edgeless network")
     if not 0 < vac.n_vaccinated < net.n:
@@ -485,8 +494,8 @@ def redistribute(
     if _r_exceeds(svv, suu, m, r, target_r, tie):
         return VaccinationAssignment(vacc)
 
-    status = vacc.tolist()
-    is_vacc = status.__getitem__
+    vn = (np.bincount(net.edge_u[vacc[net.edge_v]], minlength=net.n)
+          + np.bincount(net.edge_v[vacc[net.edge_u]], minlength=net.n)).tolist()
     deg = net.degrees.tolist()
     neighbors = net.neighbor_lists
     vacc_nodes = np.flatnonzero(vacc).tolist()
@@ -501,13 +510,16 @@ def redistribute(
             x, y = vacc_nodes[i], unvacc_nodes[j]
             # x turns unvaccinated and y vaccinated; an x-y edge stays mixed,
             # so it leaves the count of vaccinated neighbours y gains
-            nx, ny = neighbors[x], neighbors[y]
-            dsvv = sum(map(is_vacc, ny)) - (y in nx) - sum(map(is_vacc, nx))
+            dsvv = vn[y] - (y in neighbors[x]) - vn[x]
             new_svv, new_suu = svv + dsvv, suu + dsvv + deg[x] - deg[y]
             new_r = _two_type_r(new_svv, new_suu, m)
             if new_r > r + tie or (new_r >= r - tie and _r_rises(svv, suu, new_svv, new_suu, m)):
                 svv, suu, r = new_svv, new_suu, new_r
-                status[x], status[y] = vacc[x], vacc[y] = False, True
+                vacc[x], vacc[y] = False, True
+                for z in neighbors[x]:
+                    vn[z] -= 1
+                for z in neighbors[y]:
+                    vn[z] += 1
                 vacc_nodes[i], unvacc_nodes[j] = y, x
                 stall = 0
                 if _r_exceeds(svv, suu, m, r, target_r, tie):
@@ -592,7 +604,7 @@ def sweep(
     (master stream, grid index, redistribution index), so the report is
     identical for any worker count or scheduling order.
     """
-    grid = [float(r) for r in r_grid]
+    grid = [_checked_target(float(r)) for r in r_grid]
     if not grid:
         raise ValueError("empty r grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -724,11 +736,6 @@ def read_contact_network(path: str | Path) -> ContactNetwork:
     if not edges:
         raise InputError(f"{path}:2: expected 3 integer fields u,v,w, got end of file")
     return ContactNetwork.from_edges(max(v for _, v, _ in edges) + 1, edges)
-
-
-def write_contact_network(path: str | Path, net: ContactNetwork) -> None:
-    rows = zip(net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist())
-    write_csv(path, ["u", "v", "w"], rows)
 
 
 def write_sweep_csv(path: str | Path, report: SweepReport) -> None:

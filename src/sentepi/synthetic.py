@@ -4,7 +4,7 @@ Real tweet corpora and school contact networks are not redistributable,
 so the test suite and the example pipeline run on generated stand-ins:
 a four-class corpus with partially shared vocabulary, opinionated
 networks with tunable homophily, and the one calibrated
-group-structured contact network that the ``gen-net`` command writes.
+group-structured contact network, whose bundled CSV ``gen-net`` copies.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _homophilous_edges(
 
 
 def default_contact_network() -> ContactNetwork:
-    """The bundled calibrated contact network (1000 nodes, 3 groups); ``gen-net`` writes it."""
+    """The calibrated contact network (1000 nodes, 3 groups); ``gen-net`` copies its bundled CSV."""
     # Calibrated so that, with everything unvaccinated, the conditional
     # basic reproduction number lands near 2.3, the generated graph is
     # connected at exactly 1000 nodes, and clustering vaccination at

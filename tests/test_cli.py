@@ -12,7 +12,8 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from sentepi import cli, epi
+import sentepi
+from sentepi import cli
 from sentepi.cli import RunConfig, _parse_grid, load_config, main
 from sentepi.synthetic import default_contact_network, write_pipeline_fixture
 
@@ -231,8 +232,12 @@ class TestPipelineCommands:
     def test_gen_net_writes_the_calibrated_network_for_any_seed(self, tmp_path, seed):
         result = _run(["gen-net", "--seed", str(seed), "--out", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output
-        epi.write_contact_network(tmp_path / "pinned.csv", default_contact_network())
-        written = (tmp_path / "o" / "contact_network.csv").read_bytes()
+        net = default_contact_network()
+        rows = zip(net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist())
+        sentepi.write_csv(tmp_path / "pinned.csv", ["u", "v", "w"], rows)
+        written_path = tmp_path / "o" / "contact_network.csv"
+        assert result.output == f"wrote {written_path}: 1000 nodes, 3829 edges\n"
+        written = written_path.read_bytes()
         assert written == (tmp_path / "pinned.csv").read_bytes()
         manifest = json.loads((tmp_path / "o" / "manifest_gen-net.json").read_text())
         assert manifest["reads"] == {}
@@ -433,6 +438,7 @@ class TestErrorHandling:
             "moving_average_window = 0", "bootstrap_iterations = 0",
             "in_fraction_iterations = -1", "runs_per_r = 0",
             "coverage = 0", "coverage = 1", "max_stall = 0", "r_grid =", "r_grid = 0.1,0.05",
+            "r_grid = 0,1.0",
             "nb_smoothing = 0", "maxent_l2 = -5", "maxent_tol = 0", "maxent_max_iter = 0",
             "min_community_fraction = 2", "seed = -5", *_NON_FINITE, *_RUNAWAY_GRIDS,
         ],
@@ -851,8 +857,8 @@ def test_importing_stats_loads_no_numpy_or_process_pool():
 @pytest.mark.parametrize(
     "stage, libraries",
     [("train", {"numpy", "scipy"}), ("classify", {"numpy"}), ("timeseries", set()),
-     ("flownet", set())],
-    ids=["train", "classify", "timeseries", "flownet"],
+     ("flownet", set()), ("gen-net", set())],
+    ids=["train", "classify", "timeseries", "flownet", "gen-net"],
 )
 def test_a_manifest_records_the_versions_of_the_libraries_its_stage_uses(
     run_copy, pipeline_dir, finished_out, stage, libraries

@@ -30,7 +30,6 @@ from sentepi.epi import (
     sweep,
     transmission_probability,
     vaccination_assortativity,
-    write_contact_network,
 )
 import sentepi
 from sentepi import InputError, epi
@@ -127,7 +126,8 @@ class TestContactNetwork:
     def test_csv_round_trip(self, tmp_path):
         net = _net(4, [(0, 1, 90), (1, 2, 200), (2, 3, 150)])
         path = tmp_path / "net.csv"
-        write_contact_network(path, net)
+        rows = zip(net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist())
+        sentepi.write_csv(path, ["u", "v", "w"], rows)
         loaded = read_contact_network(path)
         assert loaded.n == net.n
         assert np.array_equal(loaded.edge_u, net.edge_u)
@@ -758,6 +758,79 @@ class TestExactAcceptTest:
         self._climbs_follow_the_exact_chain((0, 3, 4, 5), -0.1, 954)
 
 
+def _reference_redistribute(net, vac, target_r, stream, max_stall):
+    """The climb as it was before per-node counts: each trial sums the
+    statuses of both nodes' neighbours. Same draws, accept and stop tests."""
+    vacc = vac.vaccinated.copy()
+    svv, suu = epi._mixing_counts(net, vacc)
+    m = net.m
+    r = epi._two_type_r(svv, suu, m)
+    tie = 1e-12 * m
+    if epi._r_exceeds(svv, suu, m, r, target_r, tie):
+        return VaccinationAssignment(vacc)
+    status = vacc.tolist()
+    is_vacc = status.__getitem__
+    deg = net.degrees.tolist()
+    neighbors = net.neighbor_lists
+    vacc_nodes = np.flatnonzero(vacc).tolist()
+    unvacc_nodes = np.flatnonzero(~vacc).tolist()
+    gen = stream.generator()
+    stall = 0
+    while True:
+        for i, j in zip(
+            gen.integers(0, len(vacc_nodes), size=512).tolist(),
+            gen.integers(0, len(unvacc_nodes), size=512).tolist(),
+        ):
+            x, y = vacc_nodes[i], unvacc_nodes[j]
+            nx, ny = neighbors[x], neighbors[y]
+            dsvv = sum(map(is_vacc, ny)) - (y in nx) - sum(map(is_vacc, nx))
+            new_svv, new_suu = svv + dsvv, suu + dsvv + deg[x] - deg[y]
+            new_r = epi._two_type_r(new_svv, new_suu, m)
+            if new_r > r + tie or (
+                new_r >= r - tie and epi._r_rises(svv, suu, new_svv, new_suu, m)
+            ):
+                svv, suu, r = new_svv, new_suu, new_r
+                status[x], status[y] = vacc[x], vacc[y] = False, True
+                vacc_nodes[i], unvacc_nodes[j] = y, x
+                stall = 0
+                if epi._r_exceeds(svv, suu, m, r, target_r, tie):
+                    return VaccinationAssignment(vacc)
+            else:
+                stall += 1
+                if stall >= max_stall:
+                    raise StallError("stalled", best_r=r, target_r=target_r)
+
+
+class TestCountedClimbOracle:
+    def test_counted_climb_matches_the_summing_climb(self):
+        rng = np.random.default_rng(70)
+        outcomes = Counter()
+        graphs_with_isolated_nodes = 0
+        for g in range(240):
+            n = int(rng.integers(4, 16))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.6)
+            keep[int(rng.integers(len(pairs)))] = True
+            edges = [(u, v, 90 + int(rng.integers(60))) for (u, v), k in zip(pairs, keep) if k]
+            net = _net(n, edges)
+            graphs_with_isolated_nodes += bool((net.degrees == 0).any())
+            vac = VaccinationAssignment(rng.permutation(n) < int(rng.integers(1, n)))
+            for t, target in enumerate((-0.4, -0.1, 0.0, 0.2, 0.5, 0.9)):
+                try:
+                    want = _reference_redistribute(net, vac, target, derive_stream(71, g, t), 200)
+                except StallError as exc:
+                    with pytest.raises(StallError) as got:
+                        redistribute(net, vac, target, derive_stream(71, g, t), max_stall=200)
+                    assert (got.value.best_r, got.value.target_r) == (exc.best_r, target)
+                    outcomes["stall"] += 1
+                    continue
+                got = redistribute(net, vac, target, derive_stream(71, g, t), max_stall=200)
+                assert np.array_equal(got.vaccinated, want.vaccinated), (g, target)
+                outcomes["moved" if (got.vaccinated != vac.vaccinated).any() else "kept"] += 1
+        assert graphs_with_isolated_nodes >= 50
+        assert min(outcomes["stall"], outcomes["moved"], outcomes["kept"]) >= 100, outcomes
+
+
 class TestRedistribute:
     def test_two_clique_target_reached(self):
         net = _two_cliques(20)
@@ -813,6 +886,14 @@ class TestRedistribute:
         assert exc_info.value.best_r <= 0.99
         assert exc_info.value.target_r == 0.99
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 1.0, 1.5])
+    def test_target_no_climb_can_exceed_is_rejected(self, target):
+        # r <= 1, so the climb would only stall
+        net = _two_cliques(4)
+        vac = VaccinationAssignment(np.arange(8) % 2 == 0)
+        with pytest.raises(ValueError, match="target r must be finite and below 1"):
+            redistribute(net, vac, target, derive_stream(36))
+
     def test_full_or_empty_coverage_rejected(self):
         net = _two_cliques(4)
         with pytest.raises(ValueError, match="coverage"):
@@ -851,6 +932,12 @@ class TestSweep:
         net = _two_cliques(4)
         with pytest.raises(ValueError, match="ascending"):
             sweep(net, 0.5, [0.1, 0.1], 5, derive_stream(43))
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, 1.0], [0.1, math.inf]])
+    def test_grid_value_no_climb_can_exceed_is_rejected_before_any_task(self, monkeypatch, grid):
+        monkeypatch.setattr(epi, "map_tasks", lambda *args: pytest.fail("a task ran"))
+        with pytest.raises(ValueError, match="target r must be finite and below 1"):
+            sweep(_two_cliques(4), 0.5, grid, 5, derive_stream(43))
 
     def test_stall_propagates_with_grid_context(self):
         # a 4-node path cannot reach r ~ 0.99 at coverage 1/2

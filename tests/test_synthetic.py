@@ -1,8 +1,10 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sentepi
 from sentepi.corpus import LABEL_ORDER
 from sentepi.homophily import assortativity
 from sentepi.stats import derive_stream
@@ -78,6 +80,14 @@ class TestDefaultContactNetwork:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "93b5b9eb37a692b2e2565d90b5b271c26a8981adc3dfb36dc07d63ad398cc555"
         )
+
+    def test_bundled_file_holds_the_generated_network(self, tmp_path):
+        # gen-net copies this file instead of drawing the network again
+        net = default_contact_network()
+        rows = zip(net.edge_u.tolist(), net.edge_v.tolist(), net.edge_w.tolist())
+        sentepi.write_csv(tmp_path / "net.csv", ["u", "v", "w"], rows)
+        bundled = Path(sentepi.__file__).with_name("contact_network.csv").read_bytes()
+        assert bundled == (tmp_path / "net.csv").read_bytes()
 
 
 class TestPipelineFixture:
