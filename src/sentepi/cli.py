@@ -43,12 +43,19 @@ from typing import Callable, Union, get_args, get_origin, get_type_hints
 import click
 
 from . import InputError, StallError, __version__, read_mapping, write_csv, write_text
-from .corpus import SentimentLabel, parse_labels, parse_tweets, tokenize
 
 # Stream path roots, one per command. gen-net draws nothing (it copies a
 # bundled file), but its root stays reserved so sweep keeps root 6.
 _TRAIN, _CLASSIFY, _TIMESERIES, _FLOWNET, _HOMOPHILY, _GENNET, _SWEEP = range(7)
 _STAGES: dict = {}  # name -> (required input keys, config -> upstream stage or None)
+
+
+def __getattr__(name: str):
+    # corpus's two entry points, loaded on first use; bench/spans.py rebinds them
+    if name not in ("parse_tweets", "tokenize"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import corpus
+    return globals().setdefault(name, getattr(corpus, name))
 
 
 @dataclass
@@ -276,6 +283,7 @@ def _check_upstream(config: RunConfig, name: str, force: bool) -> dict[str, str]
 
 
 def _load_tweets(config: RunConfig):
+    from .corpus import parse_tweets
     with open(config.tweets, encoding="utf-8", errors="replace") as fh:
         tweets, skipped = parse_tweets(fh)
     if skipped:
@@ -285,6 +293,7 @@ def _load_tweets(config: RunConfig):
 
 def _labeled_tweets(config: RunConfig) -> list:
     """(tweet, label) pairs for the tweets that ``predictions.csv`` labels."""
+    from .corpus import SentimentLabel
     tweets = _load_tweets(config)
     labels = read_mapping(
         config.out / "predictions.csv", ["tweet_id", "label", "source"],
@@ -394,6 +403,7 @@ def _stage(
 def train(config: RunConfig) -> list[str]:
     """Train the sentiment ensemble on the labeled tweets."""
     from . import classify
+    from .corpus import parse_labels, tokenize
     from .stats import derive_stream
 
     tweets = _load_tweets(config)
@@ -439,6 +449,7 @@ def train(config: RunConfig) -> list[str]:
 def classify_cmd(config: RunConfig) -> list[str]:
     """Predict labels for tweets without a manual label."""
     from . import classify
+    from .corpus import parse_labels, tokenize
 
     model = classify.load_ensemble(config.out / "ensemble_model.json")
     tweets = _load_tweets(config)

@@ -13,11 +13,12 @@ nodes (exposed, infectious and awaiting a window), so a step costs time
 in the size of the outbreak, not of the network. The vaccination
 redistribution hill-climb raises the vaccinated/unvaccinated
 assortativity to a target at fixed coverage, pricing each trial swap in
-O(1) from per-node counts of vaccinated neighbours. R0 runs stop as
-soon as the index case's secondary count is final. The synthetic
-network generator draws its node pairs one block of rows at a time, so
-its memory is bounded by the block and the edges it keeps, not by the
-n(n-1)/2 pairs.
+O(1) from per-node counts of vaccinated neighbours and deciding it on
+the exact r, a fraction of integer edge counts, which the reported r
+rounds correctly. R0 runs stop as soon as the index case's secondary
+count is final. The synthetic network generator draws its node pairs
+one block of rows at a time, so its memory is bounded by the block and
+the edges it keeps, not by the n(n-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -383,57 +384,25 @@ def estimate_r0(
     )
 
 
-def _two_type_r(svv: int, suu: int, m: int) -> float:
-    """Assortativity of m undirected edges, svv joining two vaccinated
-    nodes and suu two unvaccinated ones.
-
-    Every edge is counted once in each direction, so the mixing matrix
-    is symmetric. The m - svv - suu mixed edges make the vaccinated
-    nodes' summed degree m + svv - suu. Returns 1.0 in the degenerate
-    single-type case.
-    """
-    a_v = (m + svv - suu) / (2 * m)
-    if a_v <= 0.0 or a_v >= 1.0:
-        return 1.0
-    sab = a_v * a_v + (1.0 - a_v) * (1.0 - a_v)
-    sii = (svv + suu) / m
-    return (sii - sab) / (1.0 - sab)
-
-
 def _r_fraction(svv: int, suu: int, m: int) -> tuple[int, int]:
-    """The exact ``_two_type_r`` as integers (numerator, denominator > 0).
-
-    With D = m + svv - suu, r = (4m(svv + suu) - D^2 - (2m - D)^2) /
-    (2D(2m - D)), whose denominator is positive outside the single-type
-    case, so two such fractions compare by cross-multiplying.
-    """
-    d = m + svv - suu
-    if d <= 0 or d >= 2 * m:
+    """Assortativity of m edges, each counted in both directions, of which
+    svv join two vaccinated nodes and suu two unvaccinated ones, as exact
+    (numerator, denominator > 0). With X = m - svv - suu mixed edges and
+    D = m + svv - suu the vaccinated degree sum, r = 1 - 2mX / P for
+    P = D(2m - D), or 1 when P <= 0 (a single type)."""
+    p = (m + svv - suu) * (m - svv + suu)
+    if p <= 0:
         return 1, 1
-    return 4 * m * (svv + suu) - d * d - (2 * m - d) ** 2, 2 * d * (2 * m - d)
-
-
-def _r_rises(svv: int, suu: int, new_svv: int, new_suu: int, m: int) -> bool:
-    """Whether ``_two_type_r`` of the new counts exceeds that of the old
-    ones in exact arithmetic."""
-    (a, b), (c, d) = _r_fraction(new_svv, new_suu, m), _r_fraction(svv, suu, m)
-    return a * d > c * b
-
-
-def _r_exceeds(svv: int, suu: int, m: int, r: float, target_r: float, tie: float) -> bool:
-    """Whether the exact r of the counts, whose float is ``r``, exceeds
-    ``target_r``; the floats decide unless they are within ``tie``."""
-    if abs(r - target_r) <= tie:
-        (a, b), (p, q) = _r_fraction(svv, suu, m), target_r.as_integer_ratio()
-        return a * q > p * b
-    return r > target_r
+    return p - 2 * m * (m - svv - suu), p
 
 
 def vaccination_assortativity(net: ContactNetwork, vac: VaccinationAssignment) -> float:
-    """Assortativity of vaccination status over the eligible edge set."""
+    """Assortativity of vaccination status over the eligible edge set: the
+    float nearest the exact r that :func:`redistribute` compares."""
     if net.m == 0:
         raise ValueError("assortativity needs at least one edge")
-    return _two_type_r(*_mixing_counts(net, vac.vaccinated), net.m)
+    a, b = _r_fraction(*_mixing_counts(net, vac.vaccinated), net.m)
+    return a / b
 
 
 def _mixing_counts(net: ContactNetwork, vacc: np.ndarray) -> tuple[int, int]:
@@ -461,15 +430,12 @@ def redistribute(
     Repeatedly picks one vaccinated and one unvaccinated node at random,
     swaps their statuses, keeps the swap only if the assortativity
     strictly increases, and stops once it exceeds the target. Coverage
-    never changes. The coefficient is maintained incrementally from
-    integer edge-class counts, which is exact, so it cannot drift from a
-    fresh recomputation. Each node's count of vaccinated neighbours, built
-    once per call, prices a trial in O(1); only an accepted swap walks the
-    neighbours of x and y, to update those counts. A swap whose r is
-    within rounding of the current one, or an r within rounding of
-    ``target_r``, is judged on the exact r of those counts, so a swap
-    that leaves r unchanged is never kept and the climb stops as soon as
-    the exact r exceeds the target.
+    never changes. r is kept as an exact fraction of integer edge-class
+    counts, and each accept and stop test cross-multiplies it with the
+    swap's r or with ``target_r``'s exact value, so a swap that leaves r
+    unchanged is never kept. Each node's count of vaccinated neighbours,
+    built once per call, prices a trial in O(1); only an accepted swap
+    walks the neighbours of x and y, to update those counts.
 
     If the assignment already exceeds the target it is returned
     unchanged (as a copy). ``max_stall`` consecutive rejected swaps
@@ -486,12 +452,9 @@ def redistribute(
 
     svv, suu = _mixing_counts(net, vacc)
     m = net.m
-    r = _two_type_r(svv, suu, m)
-    # _two_type_r rounds each r by under 3e-15 m (its 1 - sab is at least
-    # 1/2m), so floats further apart than this decide the order of the exact
-    # values and nearer ones are compared by _r_rises and _r_exceeds
-    tie = 1e-12 * m
-    if _r_exceeds(svv, suu, m, r, target_r, tie):
+    a, b = _r_fraction(svv, suu, m)
+    p, q = target_r.as_integer_ratio()
+    if a * q > p * b:
         return VaccinationAssignment(vacc)
 
     vn = (np.bincount(net.edge_u[vacc[net.edge_v]], minlength=net.n)
@@ -512,9 +475,9 @@ def redistribute(
             # so it leaves the count of vaccinated neighbours y gains
             dsvv = vn[y] - (y in neighbors[x]) - vn[x]
             new_svv, new_suu = svv + dsvv, suu + dsvv + deg[x] - deg[y]
-            new_r = _two_type_r(new_svv, new_suu, m)
-            if new_r > r + tie or (new_r >= r - tie and _r_rises(svv, suu, new_svv, new_suu, m)):
-                svv, suu, r = new_svv, new_suu, new_r
+            c, d = _r_fraction(new_svv, new_suu, m)
+            if c * b > a * d:
+                svv, suu, a, b = new_svv, new_suu, c, d
                 vacc[x], vacc[y] = False, True
                 for z in neighbors[x]:
                     vn[z] -= 1
@@ -522,15 +485,15 @@ def redistribute(
                     vn[z] += 1
                 vacc_nodes[i], unvacc_nodes[j] = y, x
                 stall = 0
-                if _r_exceeds(svv, suu, m, r, target_r, tie):
+                if a * q > p * b:
                     return VaccinationAssignment(vacc)
             else:
                 stall += 1
                 if stall >= max_stall:
                     raise StallError(
                         f"no accepted swap in {max_stall} trials; "
-                        f"best r {r:.6f} short of target {target_r:.6f}",
-                        best_r=r,
+                        f"best r {a / b:.6f} short of target {target_r:.6f}",
+                        best_r=a / b,
                         target_r=target_r,
                     )
 

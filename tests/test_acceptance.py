@@ -155,8 +155,11 @@ def test_redistribute_targets():
             assert vac.n_vaccinated == 624
             r = vaccination_assortativity(net, vac)
             assert target < r <= target + 0.01, (target, r)
-            # incremental bookkeeping vs from-scratch recomputation
-            recomputed = vaccination_assortativity(net, vac)
+            # epi's count-based r vs the opinion network's mixing matrix over
+            # every contact edge in both directions, labelled by status
+            edges = list(zip(net.edge_u.tolist(), net.edge_v.tolist()))
+            labels = dict(enumerate(vac.vaccinated.tolist()))
+            recomputed = assortativity(labels, edges + [(v, u) for u, v in edges]).r
             assert abs(r - recomputed) < 1e-9
 
 

@@ -869,6 +869,7 @@ def test_a_manifest_records_the_versions_of_the_libraries_its_stage_uses(
     )
     assert bool(_scipy(modules)) == ("scipy" in libraries)
     assert ("numpy" in modules) == ("numpy" in libraries)
+    assert ("sentepi.corpus" in modules) == (stage != "gen-net")  # the others read tweets
     assert "concurrent.futures.process" not in modules  # none of these stages runs a pool
     manifest = (run_copy.out / f"manifest_{stage}.json").read_bytes()
     assert set(json.loads(manifest)["versions"]) == {"sentepi", "python", *libraries}

@@ -623,22 +623,22 @@ def _redistribute_chain(n, edges, start, target):
 
 class TestRedistributeOracle:
     # From {1, 2, 3, 6} the climb ends in one of 4 sets after 2.18 accepted
-    # swaps on average. No state on the way is a local maximum of r, and
-    # where two of its states tie in exact r their float r is equal too.
+    # swaps on average. No state on the way is a local maximum of r.
     EDGES = [(0, 1), (0, 3), (0, 4), (0, 6), (1, 7), (2, 3), (3, 4), (4, 7), (5, 7)]
     START, TARGET, RUNS = (1, 2, 3, 6), 0.2, 4000
 
     def test_final_sets_and_accepted_swaps_follow_the_exact_chain(self, monkeypatch):
         # Fraction(0.2) is the float's exact value, the one redistribute compares with
         final, k1, k2 = _redistribute_chain(8, self.EDGES, self.START, Fraction(self.TARGET))
-        # every trial's r passes through _two_type_r; a new maximum is an accepted swap
-        trial_r, two_type_r = [], epi._two_type_r
+        # every trial's r passes through _r_fraction; a new maximum is an accepted swap
+        trial_r, r_fraction = [], epi._r_fraction
 
         def recording(*counts):
-            trial_r.append(two_type_r(*counts))
-            return trial_r[-1]
+            a, b = r_fraction(*counts)
+            trial_r.append(Fraction(a, b))
+            return a, b
 
-        monkeypatch.setattr(epi, "_two_type_r", recording)
+        monkeypatch.setattr(epi, "_r_fraction", recording)
         net = _net(8, [(u, v, 120) for u, v in self.EDGES])
         start = VaccinationAssignment(np.isin(np.arange(8), self.START))
         finals, accepted = Counter(), []
@@ -658,72 +658,85 @@ class TestRedistributeOracle:
         assert z2 < chi2.isf(1e-6, 1)
 
 
+def _exact_r(svv, suu, m):
+    """Vaccination assortativity of m edges, svv joining two vaccinated nodes
+    and suu two unvaccinated ones, from the mixing matrix in fractions."""
+    a = Fraction(m + svv - suu, 2 * m)
+    if a <= 0 or a >= 1:
+        return Fraction(1)
+    sab = a * a + (1 - a) * (1 - a)
+    return (Fraction(svv + suu, m) - sab) / (1 - sab)
+
+
+def _status_counts(net, vaccinated):
+    u, v = vaccinated[net.edge_u], vaccinated[net.edge_v]
+    return int(np.sum(u & v)), int(np.sum(~u & ~v))
+
+
 class TestExactAcceptTest:
     # The FOUND graph's {0, 1, 3, 5} and {1, 2, 3, 5}: exact r -1/10 both,
-    # but _two_type_r gives -0.1 and -0.09999999999999976.
+    # but the mixing-matrix formula in floats gives -0.1 and -0.09999999999999976.
     EDGES = [(0, 1), (0, 4), (0, 7), (1, 3), (1, 4), (1, 6), (2, 4), (3, 4), (3, 5), (4, 5),
              (4, 6)]
 
-    @staticmethod
-    def _exact_r(svv, suu, m):
-        a = Fraction(m + svv - suu, 2 * m)
-        if a <= 0 or a >= 1:
-            return Fraction(1)
-        sab = a * a + (1 - a) * (1 - a)
-        return (Fraction(svv + suu, m) - sab) / (1 - sab)
+    def _graph(self):
+        return _net(8, [(u, v, 120) for u, v in self.EDGES])
 
-    def test_r_rises_matches_fractions_on_random_counts(self):
+    def _vac(self, vaccinated):
+        return VaccinationAssignment(np.isin(np.arange(8), list(vaccinated)))
+
+    def test_r_fraction_matches_fractions_on_random_counts(self):
         rng = np.random.default_rng(60)
         for m in (1, 2, 3, 11, 3829, 10**6):
-            for _ in range(400):
-                counts = []
-                for _ in range(2):
-                    svv = int(rng.integers(0, m + 1))
-                    counts += [svv, int(rng.integers(0, m - svv + 1))]
-                old, new = self._exact_r(*counts[:2], m), self._exact_r(*counts[2:], m)
-                assert epi._r_rises(*counts, m) == (new > old)
-                assert not epi._r_rises(*counts[:2], *counts[:2], m)
-
-    def test_r_exceeds_matches_fractions_near_the_float_r(self):
-        rng = np.random.default_rng(62)
-        for m in (1, 2, 3, 11, 3829, 10**6):
-            tie = 1e-12 * m
-            for _ in range(200):
+            for _ in range(800):
                 svv = int(rng.integers(0, m + 1))
                 suu = int(rng.integers(0, m - svv + 1))
-                r, exact = epi._two_type_r(svv, suu, m), self._exact_r(svv, suu, m)
-                for target in (r, np.nextafter(r, -2.0), np.nextafter(r, 2.0),
-                               r - tie / 2, r + tie / 2, r - 2 * tie, r + 2 * tie):
-                    target = float(target)
-                    assert epi._r_exceeds(svv, suu, m, r, target, tie) == (exact > Fraction(target))
+                a, b = epi._r_fraction(svv, suu, m)
+                assert b > 0 and Fraction(a, b) == _exact_r(svv, suu, m)
 
-    def test_float_r_rounds_by_under_3e_15_m(self):
-        # redistribute lets the floats decide only when they are more than
-        # 1e-12 m apart; the worst case is a vaccinated degree sum of 1 or 2m - 1
-        rng = np.random.default_rng(61)
-        for m in (1, 2, 11, 3829, 10**6, 10**9):
-            cases = [(int(s), int(rng.integers(0, m - s + 1)))
-                     for s in rng.integers(0, m + 1, size=200)]
-            cases += [(s, s + m - 1) for s in range(0, 3) if 2 * s + m - 1 <= m]
-            cases += [(s + m - 1, s) for s in range(0, 3) if 2 * s + m - 1 <= m]
-            for svv, suu in cases:
-                error = abs(Fraction(epi._two_type_r(svv, suu, m)) - self._exact_r(svv, suu, m))
-                assert error < Fraction(3, 10**15) * m
+    def test_reported_r_is_the_exact_r_correctly_rounded(self):
+        # every vaccinated set of the 8-node graph, and random ones on the bundled network
+        net = self._graph()
+        for k in range(9):
+            for vaccinated in itertools.combinations(range(8), k):
+                vac = self._vac(vaccinated)
+                exact = _exact_r(*_status_counts(net, vac.vaccinated), net.m)
+                assert vaccination_assortativity(net, vac) == float(exact)
+        net = default_contact_network()
+        for i, coverage in enumerate(np.linspace(0.01, 0.99, 40)):
+            vac = random_assignment(net, float(coverage), derive_stream(955, i))
+            exact = _exact_r(*_status_counts(net, vac.vaccinated), net.m)
+            assert vaccination_assortativity(net, vac) == float(exact)
+
+    @pytest.mark.parametrize("start, target", [((2,), -0.04761904761905011),
+                                               ((0, 1), -0.04761904761904771)])
+    def test_returned_climb_never_reports_r_below_its_target(self, start, target):
+        # the exact r -1/21 of each start exceeds the target, but the
+        # mixing-matrix formula in floats put the returned start's r below it
+        net, vac = self._graph(), self._vac(start)
+        assert _exact_r(*_status_counts(net, vac.vaccinated), net.m) == Fraction(-1, 21)
+        for i in range(50):
+            out = redistribute(net, vac, target, derive_stream(956, i))
+            assert np.array_equal(out.vaccinated, vac.vaccinated)
+            assert vaccination_assortativity(net, out) >= target
 
     def test_equal_exact_r_with_unequal_floats_is_not_a_rise(self):
-        def counts(vaccinated):
-            return (sum(u in vaccinated and v in vaccinated for u, v in self.EDGES),
-                    sum(u not in vaccinated and v not in vaccinated for u, v in self.EDGES))
+        def float_r(svv, suu, m):
+            a = (m + svv - suu) / (2 * m)
+            sab = a * a + (1 - a) * (1 - a)
+            return ((svv + suu) / m - sab) / (1 - sab)
 
-        a, b = counts({0, 1, 3, 5}), counts({1, 2, 3, 5})
-        assert epi._two_type_r(*a, 11) != epi._two_type_r(*b, 11)
-        assert self._exact_r(*a, 11) == self._exact_r(*b, 11) == Fraction(-1, 10)
-        assert not epi._r_rises(*a, *b, 11) and not epi._r_rises(*b, *a, 11)
+        net, left, right = self._graph(), self._vac({0, 1, 3, 5}), self._vac({1, 2, 3, 5})
+        a, b = _status_counts(net, left.vaccinated), _status_counts(net, right.vaccinated)
+        assert float_r(*a, 11) != float_r(*b, 11)
+        assert _exact_r(*a, 11) == _exact_r(*b, 11) == Fraction(-1, 10)
+        assert vaccination_assortativity(net, left) == vaccination_assortativity(net, right) == -0.1
+        (p, q), (s, t) = epi._r_fraction(*a, 11), epi._r_fraction(*b, 11)
+        assert p * t == s * q  # so neither swap between them is kept
 
     def _climbs_follow_the_exact_chain(self, start, target, seed, runs=2000):
         final, _, _ = _redistribute_chain(8, self.EDGES, start, Fraction(target))
-        net = _net(8, [(u, v, 120) for u, v in self.EDGES])
-        vac = VaccinationAssignment(np.isin(np.arange(8), start))
+        net, vac = self._graph(), self._vac(start)
         finals = Counter(
             frozenset(np.flatnonzero(redistribute(net, vac, target, derive_stream(seed, i))
                                      .vaccinated).tolist())
@@ -742,12 +755,10 @@ class TestExactAcceptTest:
 
     def test_start_whose_exact_r_beats_the_target_is_returned(self):
         # the exact r -1/10 of {0, 1, 3, 5} exceeds the float -0.1, whose
-        # value is -0.1000000000000000055..., but its float r is -0.1 itself,
-        # so the float stop test climbed on
-        start = (0, 1, 3, 5)
-        net = _net(8, [(u, v, 120) for u, v in self.EDGES])
-        vac = VaccinationAssignment(np.isin(np.arange(8), start))
-        assert epi._two_type_r(*epi._mixing_counts(net, vac.vaccinated), net.m) == -0.1
+        # value is -0.1000000000000000055..., but rounds to -0.1 itself,
+        # so a stop test on the rounded r climbed on
+        net, vac = self._graph(), self._vac((0, 1, 3, 5))
+        assert vaccination_assortativity(net, vac) == -0.1
         for i in range(200):
             out = redistribute(net, vac, -0.1, derive_stream(953, i))
             assert np.array_equal(out.vaccinated, vac.vaccinated)
@@ -760,13 +771,13 @@ class TestExactAcceptTest:
 
 def _reference_redistribute(net, vac, target_r, stream, max_stall):
     """The climb as it was before per-node counts: each trial sums the
-    statuses of both nodes' neighbours. Same draws, accept and stop tests."""
+    statuses of both nodes' neighbours. Same draws; the accept and stop
+    tests compare ``_exact_r`` and the target as fractions."""
     vacc = vac.vaccinated.copy()
-    svv, suu = epi._mixing_counts(net, vacc)
+    svv, suu = _status_counts(net, vacc)
     m = net.m
-    r = epi._two_type_r(svv, suu, m)
-    tie = 1e-12 * m
-    if epi._r_exceeds(svv, suu, m, r, target_r, tie):
+    r, target = _exact_r(svv, suu, m), Fraction(target_r)
+    if r > target:
         return VaccinationAssignment(vacc)
     status = vacc.tolist()
     is_vacc = status.__getitem__
@@ -785,20 +796,18 @@ def _reference_redistribute(net, vac, target_r, stream, max_stall):
             nx, ny = neighbors[x], neighbors[y]
             dsvv = sum(map(is_vacc, ny)) - (y in nx) - sum(map(is_vacc, nx))
             new_svv, new_suu = svv + dsvv, suu + dsvv + deg[x] - deg[y]
-            new_r = epi._two_type_r(new_svv, new_suu, m)
-            if new_r > r + tie or (
-                new_r >= r - tie and epi._r_rises(svv, suu, new_svv, new_suu, m)
-            ):
+            new_r = _exact_r(new_svv, new_suu, m)
+            if new_r > r:
                 svv, suu, r = new_svv, new_suu, new_r
                 status[x], status[y] = vacc[x], vacc[y] = False, True
                 vacc_nodes[i], unvacc_nodes[j] = y, x
                 stall = 0
-                if epi._r_exceeds(svv, suu, m, r, target_r, tie):
+                if r > target:
                     return VaccinationAssignment(vacc)
             else:
                 stall += 1
                 if stall >= max_stall:
-                    raise StallError("stalled", best_r=r, target_r=target_r)
+                    raise StallError("stalled", best_r=float(r), target_r=target_r)
 
 
 class TestCountedClimbOracle:
@@ -966,7 +975,7 @@ class TestPinnedOutputs:
         net = default_contact_network()
         report = sweep(net, 0.624, [0.0, 0.075, 0.145], 20, derive_stream(51))
         assert hashlib.sha256(repr(report).encode()).hexdigest() == (
-            "665225ac5fa58753fbfebd4e2764f8b97c36145e2eea45e0331522d12bb2a664"
+            "b20b4e5b07bb695365d5eaa2e72c4b70ef8f618c6c124aa447155c773a579903"
         )
 
     def test_sweep_runs(self):
