@@ -14,12 +14,15 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
 from . import write_text
 from .corpus import LABEL_ORDER, SentimentLabel, TokenVector
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +83,7 @@ class _Csr:
         return np.bincount(ids, weights=terms.ravel(), minlength=k * n).reshape(k, n).T
 
 
-def _sparse(X: _Csr):
+def _sparse(X: _Csr) -> sparse.csr_matrix:
     """The same arrays as a ``scipy.sparse.csr_matrix``."""
     from scipy import sparse
 
@@ -268,17 +271,16 @@ def train_naive_bayes(docs: Sequence[LabeledDoc], smoothing: float = 1.0) -> Nai
 def maxent_objective(
     weights: np.ndarray,
     bias: np.ndarray,
-    X: _Csr,
+    X: sparse.csr_matrix,
     y: np.ndarray,
     l2: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """L2-penalized log-likelihood and its gradient.
 
     Returns (objective, grad_weights, grad_bias). The penalty applies to
-    the weights only, never the biases. ``X`` is :func:`featurize`'s
-    matrix or the :func:`_sparse` one made of it; the products always go
-    through the latter. Exposed at module level so the gradient can be
-    checked against finite differences.
+    the weights only, never the biases. ``X`` is the :func:`_sparse`
+    matrix made of :func:`featurize`'s. Exposed at module level so the
+    gradient can be checked against finite differences.
 
     Scores, log-probabilities and residuals are class-major (K, n)
     arrays: numpy reduces over their first axis as K - 1 whole-row ufunc
@@ -288,8 +290,6 @@ def maxent_objective(
     (n, K) for the weight product and the bias sum, so every bit equals
     that of the (n, K) computation.
     """
-    if isinstance(X, _Csr):
-        X = _sparse(X)
     n = X.shape[0]
     scores = np.add((X @ weights.T).T, bias[:, None], order="C")  # (K, n)
     shift = scores.max(axis=0)

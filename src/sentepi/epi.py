@@ -350,7 +350,6 @@ class R0Estimate:
 
     value: float
     runs_with_secondary: int
-    total_runs: int
 
 
 def estimate_r0(
@@ -380,7 +379,6 @@ def estimate_r0(
     return R0Estimate(
         value=sum(secondary) / len(secondary),
         runs_with_secondary=len(secondary),
-        total_runs=runs,
     )
 
 
@@ -524,8 +522,6 @@ class SweepReport:
     """
 
     points: tuple[SweepPoint, ...]
-    coverage: float
-    redistributions_per_r: int
 
 
 def default_r_grid() -> list[float]:
@@ -603,11 +599,7 @@ def sweep(
                 ci_high=ci_high,
             )
         )
-    return SweepReport(
-        points=tuple(points),
-        coverage=coverage,
-        redistributions_per_r=redistributions_per_r,
-    )
+    return SweepReport(points=tuple(points))
 
 
 def _relative_risk(p: float, p_baseline: float) -> float:

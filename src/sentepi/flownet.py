@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, TYPE_CHECKING, Iterable, Mapping
 
 from . import InputError, _name, read_csv, read_mapping, write_csv
-from .corpus import SentimentLabel, Tally, Tweet, tally_by
 from .stats import edge_positions, largest_component
+
+if TYPE_CHECKING:
+    from .corpus import SentimentLabel, Tally, Tweet
 
 __all__ = [
     "FlowNetwork",
@@ -62,6 +64,8 @@ def tally_users(
     labeled_tweets: Iterable[tuple[Tweet, SentimentLabel]]
 ) -> dict[str, Tally]:
     """Per-user relevant tweet tallies; users with none are omitted."""
+    from .corpus import tally_by
+
     return tally_by(labeled_tweets, lambda tweet: tweet.user_id)
 
 

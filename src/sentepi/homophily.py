@@ -17,8 +17,7 @@ import numpy as np
 
 from . import write_csv
 from .stats import (
-    RandomStream, edge_positions, fisher_exact_2x2, index_edges, map_tasks,
-    wilcoxon_signed_rank_paired,
+    RandomStream, edge_positions, fisher_exact_2x2, map_tasks, wilcoxon_signed_rank_paired,
 )
 
 __all__ = [
@@ -52,11 +51,11 @@ def _code_edges(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Type codes of the sorted nodes, edges as (src, dst) index arrays,
     and the sorted types."""
-    node_list, src, dst = index_edges(labels, edges)
+    node_list, src, dst = edge_positions(labels, edges)
     types = sorted({labels[n] for n in node_list}, key=repr)
     type_index = {t: i for i, t in enumerate(types)}
     codes = np.array([type_index[labels[n]] for n in node_list], dtype=np.int64)
-    return codes, src, dst, types
+    return codes, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), types
 
 
 def _assortativity_from_codes(
@@ -112,9 +111,6 @@ class NullDistribution:
         object.__setattr__(self, "ci_low", _nearest_rank(v, 0.025))
         object.__setattr__(self, "ci_high", _nearest_rank(v, 0.975))
         object.__setattr__(self, "max", float(v[-1]))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -187,7 +183,6 @@ class InFractionTest:
     original_mean: float
     p_values: np.ndarray
     fraction_significant: float
-    replicate_means: np.ndarray
 
 
 def in_fraction_test(
@@ -213,16 +208,13 @@ def in_fraction_test(
     original = fractions(codes)
     multiset = np.sort(codes)
     p_values = np.empty(iterations, dtype=float)
-    replicate_means = np.empty(iterations, dtype=float)
     for i in range(iterations):
         replicate = fractions(_replicate(multiset, stream, i))
-        replicate_means[i] = float(replicate.mean())
         p_values[i] = wilcoxon_signed_rank_paired(original, replicate)
     return InFractionTest(
         original_mean=float(original.mean()),
         p_values=p_values,
         fraction_significant=float((p_values < _SIGNIFICANCE).mean()),
-        replicate_means=replicate_means,
     )
 
 
@@ -354,10 +346,7 @@ class CommunityStats:
 @dataclass(frozen=True)
 class CommunityReport:
     rows: tuple[CommunityStats, ...]
-    n_nodes: int
     n_communities: int
-    global_p_neg: float
-    min_size_fraction: float
 
 
 def community_enrichment(
@@ -411,13 +400,7 @@ def community_enrichment(
             )
         )
     rows.sort(key=lambda s: (-s.size, s.community_id))
-    return CommunityReport(
-        rows=tuple(rows),
-        n_nodes=n,
-        n_communities=len(members),
-        global_p_neg=global_p_neg,
-        min_size_fraction=min_size_fraction,
-    )
+    return CommunityReport(rows=tuple(rows), n_communities=len(members))
 
 
 def write_null_distribution_csv(path: str | Path, null: NullDistribution) -> None:

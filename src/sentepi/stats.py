@@ -27,7 +27,6 @@ __all__ = [
     "RandomStream",
     "derive_stream",
     "edge_positions",
-    "index_edges",
     "largest_component",
     "map_tasks",
     "weighted_pearson",
@@ -91,21 +90,11 @@ def map_tasks(fn: Callable[[object], object], tasks: Sequence, workers: int) -> 
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
-def index_edges(
-    nodes: Iterable[Hashable], edges: Sequence[tuple[Hashable, Hashable]]
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """Sorted ``nodes`` and, as int64 arrays, each edge's (src, dst)
-    positions in that list; an endpoint outside ``nodes`` raises ValueError."""
-    import numpy as np
-
-    node_list, src, dst = edge_positions(nodes, edges)
-    return node_list, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-
-
 def edge_positions(
     nodes: Iterable[Hashable], edges: Sequence[tuple[Hashable, Hashable]]
 ) -> tuple[list, list[int], list[int]]:
-    """:func:`index_edges` with the positions as lists of ints."""
+    """Sorted ``nodes`` and each edge's (src, dst) positions in that list;
+    an endpoint outside ``nodes`` raises ValueError."""
     node_list = sorted(nodes)
     index = {node: i for i, node in enumerate(node_list)}
     try:

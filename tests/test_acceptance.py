@@ -17,6 +17,7 @@ from click.testing import CliRunner
 
 from sentepi.classify import (
     EnsembleModel,
+    _sparse,
     evaluate_accuracy,
     featurize,
     maxent_objective,
@@ -241,7 +242,7 @@ def test_classifier_acceptance():
         small = docs[:5]
         labels = tuple(lab for lab in LABEL_ORDER if any(l == lab for _, l in small))
         vocab = sorted({t for d, _ in small for t in d.counts})
-        X = featurize([d for d, _ in small], {t: i for i, t in enumerate(vocab)})
+        X = _sparse(featurize([d for d, _ in small], {t: i for i, t in enumerate(vocab)}))
         y = np.array([labels.index(lab) for _, lab in small])
         gen = derive_stream(8002).generator()
         weights = gen.normal(scale=0.4, size=(len(labels), len(vocab)))

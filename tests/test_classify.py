@@ -158,8 +158,6 @@ class TestCsrProducts:
 
 def _reference_objective(weights, bias, X, y, l2):
     """``maxent_objective`` as first written, on (n, K) arrays throughout."""
-    if isinstance(X, _Csr):
-        X = _sparse(X)
     n = X.shape[0]
     scores = X @ weights.T + bias  # (n, K)
     shift = scores.max(axis=1, keepdims=True)
@@ -183,15 +181,14 @@ class TestObjectiveBits:
     @pytest.mark.parametrize("l2, scale", [(0.1, 1.0), (0.0, 1.0), (0.1, 30.0)])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_equals_the_row_major_objective(self, k, l2, scale, seed):
-        X, S, gen = TestCsrProducts.random_csr(seed)  # empty rows, one of 300 terms
-        y = gen.integers(0, k, size=X.shape[0])
-        weights = scale * gen.normal(size=(k, X.shape[1]))
+        _, S, gen = TestCsrProducts.random_csr(seed)  # empty rows, one of 300 terms
+        y = gen.integers(0, k, size=S.shape[0])
+        weights = scale * gen.normal(size=(k, S.shape[1]))
         bias = scale * gen.normal(size=k)
-        for matrix in (X, S):
-            got = maxent_objective(weights, bias, matrix, y, l2)
-            want = _reference_objective(weights, bias, matrix, y, l2)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+        got = maxent_objective(weights, bias, S, y, l2)
+        want = _reference_objective(weights, bias, S, y, l2)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_fitted_weights_are_pinned(self):
         corpus = synthetic_corpus(400, derive_stream(29))
@@ -212,7 +209,7 @@ class TestMaxEnt:
         docs = random_docs(5, 7, seed=3)
         labels = tuple(sorted({lab for _, lab in docs}, key=LABEL_ORDER.index))
         vocab = sorted({t for d, _ in docs for t in d.counts})
-        X = featurize([d for d, _ in docs], {t: i for i, t in enumerate(vocab)})
+        X = _sparse(featurize([d for d, _ in docs], {t: i for i, t in enumerate(vocab)}))
         y = np.array([labels.index(lab) for _, lab in docs])
         gen = derive_stream(4).generator()
         weights = gen.normal(scale=0.5, size=(len(labels), len(vocab)))
@@ -258,7 +255,7 @@ class TestMaxEnt:
 
     @staticmethod
     def objective_at(model, docs, weights, bias):
-        X = featurize([d for d, _ in docs], model.vocabulary)
+        X = _sparse(featurize([d for d, _ in docs], model.vocabulary))
         y = np.array([model.labels.index(lab) for _, lab in docs])
         return maxent_objective(weights, bias, X, y, model.l2)
 

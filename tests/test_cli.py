@@ -857,8 +857,8 @@ def test_importing_stats_loads_no_numpy_or_process_pool():
 @pytest.mark.parametrize(
     "stage, libraries",
     [("train", {"numpy", "scipy"}), ("classify", {"numpy"}), ("timeseries", set()),
-     ("flownet", set()), ("gen-net", set())],
-    ids=["train", "classify", "timeseries", "flownet", "gen-net"],
+     ("flownet", set()), ("homophily", {"numpy"}), ("gen-net", set()), ("sweep", {"numpy"})],
+    ids=["train", "classify", "timeseries", "flownet", "homophily", "gen-net", "sweep"],
 )
 def test_a_manifest_records_the_versions_of_the_libraries_its_stage_uses(
     run_copy, pipeline_dir, finished_out, stage, libraries
@@ -869,7 +869,8 @@ def test_a_manifest_records_the_versions_of_the_libraries_its_stage_uses(
     )
     assert bool(_scipy(modules)) == ("scipy" in libraries)
     assert ("numpy" in modules) == ("numpy" in libraries)
-    assert ("sentepi.corpus" in modules) == (stage != "gen-net")  # the others read tweets
+    reads_tweets = stage in {"train", "classify", "timeseries", "flownet"}
+    assert ("sentepi.corpus" in modules) == ("sentepi.stemming" in modules) == reads_tweets
     assert "concurrent.futures.process" not in modules  # none of these stages runs a pool
     manifest = (run_copy.out / f"manifest_{stage}.json").read_bytes()
     assert set(json.loads(manifest)["versions"]) == {"sentepi", "python", *libraries}

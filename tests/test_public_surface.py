@@ -6,7 +6,9 @@ Strings, such as the ``__all__`` entries themselves, do not count, and
 neither do the tests: code that only tests call is not part of the
 pipeline. Likewise every defaulted parameter of an exported function or
 class must be passed, by keyword or by position, by some call there: a
-knob that only tests turn is not part of the pipeline either.
+knob that only tests turn is not part of the pipeline either. And every
+field of an exported dataclass must be read there, as an attribute: a
+result that nothing reads is not part of the pipeline's output.
 """
 
 import ast
@@ -14,7 +16,7 @@ import enum
 import importlib
 import inspect
 import pkgutil
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import sentepi
@@ -38,6 +40,21 @@ ALLOWED_DEFAULTS = {
     "epi.run_seir.record_trace": "the oracles check the trace it records",
     **{f"synthetic.write_pipeline_fixture.{name}": "tests shrink and vary the fixture"
        for name in ("n_users", "n_tweets", "labeled_fraction")},
+}
+
+
+# Fields of exported dataclasses that no attribute load reads, on purpose:
+# "module.Class.field" -> why.
+ALLOWED_FIELDS = {
+    **{f"epi.SweepPoint.{name}": "a column of sweep_report.csv, written from fields()"
+       for name in ("runs", "p_ge_5pct", "rr_5pct")},
+    **{f"homophily.CommunityStats.{name}": "a column of communities.csv, written from fields()"
+       for name in ("p_neg", "fisher_p", "direction")},
+    "classify.NaiveBayesModel.smoothing": "stored in ensemble_model.json through _schema",
+    **{f"classify.MaxEntModel.{name}": "stored in ensemble_model.json through _COEFFICIENTS"
+       " and _schema" for name in ("weights", "bias", "l2")},
+    **{f"epi.SimResult.{name}": "the oracles pin each run by it"
+       for name in ("ever_infected", "index_node")},
 }
 
 
@@ -107,3 +124,12 @@ def test_every_defaulted_parameter_is_passed():
             if param.kind is param.KEYWORD_ONLY or position >= most:
                 unpassed.add(f"{module}.{name}.{param.name}")
     assert unpassed == set(ALLOWED_DEFAULTS)
+
+
+def test_every_field_of_an_exported_dataclass_is_read_by_the_program():
+    read = {node.attr for node in _program_nodes()
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {f"{module}.{name}.{fld.name}" for module, name, obj in _exports()
+              if isinstance(obj, type) and is_dataclass(obj)
+              for fld in fields(obj) if fld.name not in read}
+    assert unread == set(ALLOWED_FIELDS)
