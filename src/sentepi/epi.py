@@ -15,10 +15,12 @@ redistribution hill-climb raises the vaccinated/unvaccinated
 assortativity to a target at fixed coverage, pricing each trial swap in
 O(1) from per-node counts of vaccinated neighbours and deciding it on
 the exact r, a fraction of integer edge counts, which the reported r
-rounds correctly. R0 runs stop as soon as the index case's secondary
-count is final. The synthetic network generator draws its node pairs
-one block of rows at a time, so its memory is bounded by the block and
-the edges it keeps, not by the n(n-1)/2 pairs.
+rounds correctly. Both read per-node tables that a network builds on
+first use; a pickled network carries only its fields. R0 runs stop as
+soon as the index case's secondary count is final. The synthetic
+network generator draws its node pairs one block of rows at a time, so
+its memory is bounded by the block and the edges it keeps, not by the
+n(n-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -176,22 +178,52 @@ class ContactNetwork:
             nbr=np.concatenate([ev, eu])[order], nbr_w=np.concatenate([ew, ew])[order],
         )
 
+    def __getstate__(self) -> dict:
+        # only the fields: the cached tables below rebuild on demand, so a
+        # network pickles to the same bytes before and after they are built
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def m(self) -> int:
         return int(self.edge_u.size)
 
-    @property
+    @functools.cached_property
     def degrees(self) -> np.ndarray:
+        """Each node's degree, built once; read-only."""
         return np.diff(self.indptr)
 
     def neighbors(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[node], self.indptr[node + 1]
         return self.nbr[lo:hi], self.nbr_w[lo:hi]
 
+    def _rows(self, values: np.ndarray) -> list[list]:
+        """``values``, one per entry of ``nbr``, split into per-node Python lists."""
+        bounds = self.indptr.tolist()
+        return [values[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
+
     @functools.cached_property
     def neighbor_lists(self) -> list[list[int]]:
         """Each node's neighbours as Python lists, built once; read-only."""
-        return [self.nbr[self.indptr[i] : self.indptr[i + 1]].tolist() for i in range(self.n)]
+        return self._rows(self.nbr)
+
+    @functools.cached_property
+    def degree_list(self) -> list[int]:
+        """``degrees`` as a Python list, built once; read-only."""
+        return self.degrees.tolist()
+
+    @functools.cached_property
+    def _heads(self) -> np.ndarray:
+        # the node whose row holds each entry of nbr
+        return np.repeat(np.arange(self.n), self.degrees)
+
+    def transmission_lists(self, factor: float, rate: float) -> list[list[float]]:
+        """Each node's per-neighbour transmission probabilities at ``factor``
+        times the contact weights, in ``neighbor_lists`` order, as Python
+        lists; built once per (factor, rate), read-only."""
+        tables = self.__dict__.setdefault("_transmission_lists", {})
+        if (factor, rate) not in tables:
+            tables[factor, rate] = self._rows(transmission_probability(factor * self.nbr_w, rate))
+        return tables[factor, rate]
 
 
 @dataclass(frozen=True)
@@ -206,7 +238,7 @@ class VaccinationAssignment:
 
     @property
     def n_vaccinated(self) -> int:
-        return int(self.vaccinated.sum())
+        return int(np.count_nonzero(self.vaccinated))
 
 
 def random_assignment(
@@ -217,7 +249,8 @@ def random_assignment(
         raise ValueError("coverage must be in [0, 1]")
     count = int(round(coverage * net.n))
     gen = stream.generator()
-    chosen = gen.choice(net.n, size=count, replace=False)
+    # the chosen set is the same unshuffled; only its order, unused here, differs
+    chosen = gen.choice(net.n, size=count, replace=False, shuffle=False)
     vaccinated = np.zeros(net.n, dtype=bool)
     vaccinated[chosen] = True
     return VaccinationAssignment(vaccinated)
@@ -233,6 +266,23 @@ class SimResult:
     attack_rate: float
     index_node: int
     trace: tuple[tuple[int, int, int, int], ...] | None = None
+
+
+def _uniforms(gen: np.random.Generator, params: SEIRParams):
+    """Each uniform of ``gen`` in turn, with the incubation steps it would
+    give. They are drawn 64 at a time, as Philox gives the same doubles in
+    blocks as in single calls, and the steps are computed once per block."""
+    while True:
+        block = gen.random(64)
+        yield from zip(block.tolist(), _incubation_steps(block, params).tolist())
+
+
+@functools.cache
+def _recovery_hazards(params: SEIRParams) -> list[float]:
+    """Recovery hazard after t steps infectious, t = 0..max, forced at the last step."""
+    hazard = (1.0 - params.recovery_base ** np.arange(params.max_infectious_steps + 1)).tolist()
+    hazard[-1] = 1.0
+    return hazard
 
 
 def run_seir(
@@ -254,7 +304,8 @@ def run_seir(
     it turns infectious, ``infectious`` to its steps infectious, and
     ``pending`` holds those awaiting their school window. Transmitters and
     recovery draws go in node order, so each draw keeps the size and place
-    it has in a scan over all nodes.
+    it has in a scan over all nodes. Probabilities come from the network's
+    per-node tables, and uniforms from blocks of 64 (:func:`_uniforms`).
 
     ``_index_only`` (for :func:`estimate_r0`) also ends the run once the
     index case is neither exposed nor waiting for its school window, so
@@ -267,23 +318,24 @@ def run_seir(
         raise ValueError("vaccination assignment does not match network size")
     gen = stream.generator()
 
-    susceptible = ~vac.vaccinated
-    candidates = np.flatnonzero(susceptible)
+    unvaccinated = ~vac.vaccinated
+    candidates = np.flatnonzero(unvaccinated)
     if candidates.size == 0:
         raise ValueError("no susceptible node to seed the outbreak")
 
     index = int(candidates[gen.integers(candidates.size)])
+    draw = _uniforms(gen, params).__next__
+    susceptible = unvaccinated.tolist()
     susceptible[index] = False
-    exposed = {index: int(_incubation_steps(gen.random(size=1), params)[0])}
+    exposed = {index: draw()[1]}
     infectious: dict[int, int] = {}
     pending: set[int] = set()
-    # recovery hazard after t steps infectious, forced at the last step
-    hazard = (1.0 - params.recovery_base ** np.arange(params.max_infectious_steps + 1)).tolist()
-    hazard[-1] = 1.0
+    hazard = _recovery_hazards(params)
+    neighbors = net.neighbor_lists
+    probs = net.transmission_lists(params.symptomatic_contact_factor, params.transmission_rate)
 
     ever_infected = 1
     secondary_from_index = 0
-    factor = params.symptomatic_contact_factor
     trace: list[tuple[int, int, int, int]] = []
 
     step = 0
@@ -295,34 +347,27 @@ def run_seir(
 
         if step % _STEPS_PER_WEEK in _WEEKDAY_DAY_STEPS:
             # each infectious node attends one school half-day at 25%
-            # contact durations, then stays home until recovery
+            # contact durations, then stays home until recovery: one draw per
+            # susceptible neighbour, then one incubation draw per hit
             for u in sorted(pending):
-                nbrs, wts = net.neighbors(u)
-                sus_mask = susceptible[nbrs]
-                if not sus_mask.any():
-                    continue
-                targets = nbrs[sus_mask]
-                probs = transmission_probability(factor * wts[sus_mask], params.transmission_rate)
-                hits = targets[gen.random(targets.size) < probs]
-                if hits.size:
-                    susceptible[hits] = False
-                    incubation = _incubation_steps(gen.random(size=hits.size), params)
-                    exposed.update(zip(hits.tolist(), (step + incubation).tolist()))
-                    ever_infected += int(hits.size)
-                    if u == index:
-                        secondary_from_index += int(hits.size)
+                hits = [v for v, p in zip(neighbors[u], probs[u])
+                        if susceptible[v] and draw()[0] < p]
+                for v in hits:
+                    susceptible[v] = False
+                    exposed[v] = step + draw()[1]
+                ever_infected += len(hits)
+                if u == index:
+                    secondary_from_index += len(hits)
             pending.clear()
 
         # recovery hazard advances every step, nights and weekends included
-        if infectious:
-            order = sorted(infectious)
-            for u, x in zip(order, gen.random(len(order)).tolist()):
-                t = infectious[u] + 1
-                if x < hazard[t]:
-                    del infectious[u]
-                    pending.discard(u)
-                else:
-                    infectious[u] = t
+        for u in sorted(infectious):
+            t = infectious[u] + 1
+            if draw()[0] < hazard[t]:
+                del infectious[u]
+                pending.discard(u)
+            else:
+                infectious[u] = t
 
         step += 1
         if record_trace:
@@ -407,7 +452,18 @@ def _mixing_counts(net: ContactNetwork, vacc: np.ndarray) -> tuple[int, int]:
     """Vaccinated-vaccinated and unvaccinated-unvaccinated edge counts."""
     uu = vacc[net.edge_u]
     vv = vacc[net.edge_v]
-    return int((uu & vv).sum()), int((~uu & ~vv).sum())
+    return int(np.count_nonzero(uu & vv)), int(np.count_nonzero(~(uu | vv)))
+
+
+def _vaccinated_neighbours(net: ContactNetwork, vacc: np.ndarray) -> tuple[list[int], int, int]:
+    """Each node's count of vaccinated neighbours, from one pass over ``nbr``,
+    and the svv, suu of :func:`_mixing_counts` derived from those counts:
+    summed over the vaccinated nodes they count each vaccinated-vaccinated
+    edge twice, and summed over all nodes, twice svv plus the mixed edges."""
+    vn = np.bincount(net._heads, weights=vacc[net.nbr], minlength=net.n).astype(np.int64)
+    twice_svv = int(vn @ vacc)
+    svv = twice_svv // 2
+    return vn.tolist(), svv, net.m - svv - (int(vn.sum()) - twice_svv)
 
 
 def _checked_target(target_r: float) -> float:
@@ -432,8 +488,9 @@ def redistribute(
     counts, and each accept and stop test cross-multiplies it with the
     swap's r or with ``target_r``'s exact value, so a swap that leaves r
     unchanged is never kept. Each node's count of vaccinated neighbours,
-    built once per call, prices a trial in O(1); only an accepted swap
-    walks the neighbours of x and y, to update those counts.
+    built per call in one pass that also gives the edge-class counts,
+    prices a trial in O(1); only an accepted swap walks the neighbours of
+    x and y, to update those counts.
 
     If the assignment already exceeds the target it is returned
     unchanged (as a copy). ``max_stall`` consecutive rejected swaps
@@ -448,52 +505,51 @@ def redistribute(
                          " redistribution needs at least one vaccinated and one unvaccinated node")
     vacc = vac.vaccinated.copy()
 
-    svv, suu = _mixing_counts(net, vacc)
+    vn, svv, suu = _vaccinated_neighbours(net, vacc)
     m = net.m
     a, b = _r_fraction(svv, suu, m)
     p, q = target_r.as_integer_ratio()
     if a * q > p * b:
         return VaccinationAssignment(vacc)
 
-    vn = (np.bincount(net.edge_u[vacc[net.edge_v]], minlength=net.n)
-          + np.bincount(net.edge_v[vacc[net.edge_u]], minlength=net.n)).tolist()
-    deg = net.degrees.tolist()
+    deg = net.degree_list
     neighbors = net.neighbor_lists
     vacc_nodes = np.flatnonzero(vacc).tolist()
     unvacc_nodes = np.flatnonzero(~vacc).tolist()
     gen = stream.generator()
     stall = 0
     while True:
-        for i, j in zip(
-            gen.integers(0, len(vacc_nodes), size=512).tolist(),
-            gen.integers(0, len(unvacc_nodes), size=512).tolist(),
-        ):
-            x, y = vacc_nodes[i], unvacc_nodes[j]
-            # x turns unvaccinated and y vaccinated; an x-y edge stays mixed,
-            # so it leaves the count of vaccinated neighbours y gains
-            dsvv = vn[y] - (y in neighbors[x]) - vn[x]
-            new_svv, new_suu = svv + dsvv, suu + dsvv + deg[x] - deg[y]
-            c, d = _r_fraction(new_svv, new_suu, m)
-            if c * b > a * d:
-                svv, suu, a, b = new_svv, new_suu, c, d
-                vacc[x], vacc[y] = False, True
-                for z in neighbors[x]:
-                    vn[z] -= 1
-                for z in neighbors[y]:
-                    vn[z] += 1
-                vacc_nodes[i], unvacc_nodes[j] = y, x
-                stall = 0
-                if a * q > p * b:
-                    return VaccinationAssignment(vacc)
-            else:
-                stall += 1
-                if stall >= max_stall:
-                    raise StallError(
-                        f"no accepted swap in {max_stall} trials; "
-                        f"best r {a / b:.6f} short of target {target_r:.6f}",
-                        best_r=a / b,
-                        target_r=target_r,
-                    )
+        picks_x = gen.integers(0, len(vacc_nodes), size=512)
+        picks_y = gen.integers(0, len(unvacc_nodes), size=512)
+        # a climb uses a few of these; turn them into ints as it reaches them
+        for k in range(0, 512, 64):
+            for i, j in zip(picks_x[k:k + 64].tolist(), picks_y[k:k + 64].tolist()):
+                x, y = vacc_nodes[i], unvacc_nodes[j]
+                # x turns unvaccinated and y vaccinated; an x-y edge stays mixed,
+                # so it leaves the count of vaccinated neighbours y gains
+                dsvv = vn[y] - (y in neighbors[x]) - vn[x]
+                new_svv, new_suu = svv + dsvv, suu + dsvv + deg[x] - deg[y]
+                c, d = _r_fraction(new_svv, new_suu, m)
+                if c * b > a * d:
+                    svv, suu, a, b = new_svv, new_suu, c, d
+                    vacc[x], vacc[y] = False, True
+                    for z in neighbors[x]:
+                        vn[z] -= 1
+                    for z in neighbors[y]:
+                        vn[z] += 1
+                    vacc_nodes[i], unvacc_nodes[j] = y, x
+                    stall = 0
+                    if a * q > p * b:
+                        return VaccinationAssignment(vacc)
+                else:
+                    stall += 1
+                    if stall >= max_stall:
+                        raise StallError(
+                            f"no accepted swap in {max_stall} trials; "
+                            f"best r {a / b:.6f} short of target {target_r:.6f}",
+                            best_r=a / b,
+                            target_r=target_r,
+                        )
 
 
 # The attack rates that p_ge_3pct and p_ge_5pct (and rr_3pct, rr_5pct) count.

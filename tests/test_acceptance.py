@@ -46,13 +46,10 @@ from sentepi.stats import (
     weighted_pearson,
     wilcoxon_signed_rank_paired,
 )
-from sentepi.synthetic import (
-    default_contact_network,
-    synthetic_corpus,
-    synthetic_opinionated_network,
-    write_pipeline_fixture,
-)
+from sentepi.synthetic import default_contact_network, write_pipeline_fixture
 from sentepi.timeseries import sentiment_score
+
+from builders import synthetic_corpus, synthetic_opinionated_network
 
 WORKERS = min(8, os.cpu_count() or 1)
 

@@ -27,7 +27,8 @@ from sentepi.classify import (
 )
 from sentepi.corpus import LABEL_ORDER, SentimentLabel, TokenVector
 from sentepi.stats import derive_stream
-from sentepi.synthetic import synthetic_corpus
+
+from builders import synthetic_corpus
 
 POS = SentimentLabel.POSITIVE
 NEG = SentimentLabel.NEGATIVE
@@ -303,7 +304,7 @@ class TestMaxEnt:
             "from sentepi.classify import train_maxent\n"
             "from sentepi.corpus import TokenVector\n"
             "from sentepi.stats import derive_stream\n"
-            "from sentepi.synthetic import synthetic_corpus\n"
+            "from builders import synthetic_corpus\n"
             "corpus = synthetic_corpus(800, derive_stream(1), words_per_class=1000)\n"
             "model = train_maxent([(TokenVector.from_tokens(t), lab) for t, lab in corpus])\n"
             "assert model.weights.size > 10_000\n"
@@ -311,9 +312,10 @@ class TestMaxEnt:
             " + model.bias.tobytes()).hexdigest())\n"
         )
         src = str(Path(train_maxent.__code__.co_filename).resolve().parents[1])
+        path = os.pathsep.join([src, str(Path(__file__).parent)])  # sentepi and builders
         fits = []
         for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-c", script], env=env,
                                   capture_output=True, text=True, check=True, timeout=120)

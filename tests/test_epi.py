@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -157,6 +158,51 @@ class TestContactNetwork:
         path.write_text("u,v,w\n")
         with pytest.raises(InputError, match=r"in\.csv:2: expected 3 integer fields u,v,w, got end"):
             read_contact_network(path)
+
+
+class TestNetworkTables:
+    """The per-network tables that run_seir and redistribute read: built on
+    first use, equal to the per-call values, and left out of a pickle."""
+
+    @pytest.mark.parametrize("factor, rate", [(0.25, 0.00767), (1.0, 0.00767), (0.25, 0.3),
+                                              (0.7, 1e-4)])
+    def test_transmission_lists_equal_the_per_call_probabilities(self, factor, rate):
+        net = default_contact_network()
+        table = net.transmission_lists(factor, rate)
+        assert net.transmission_lists(factor, rate) is table
+        for mask in (np.ones(net.n, dtype=bool), np.arange(net.n) % 2 == 0):
+            for u in range(net.n):
+                nbrs, wts = net.neighbors(u)
+                sus = mask[nbrs]
+                per_call = transmission_probability(factor * wts[sus], rate).tolist()
+                assert list(itertools.compress(table[u], sus.tolist())) == per_call
+
+    def test_incubation_steps_of_a_block_equal_single_draws(self):
+        # run_seir takes a uniform's steps from its block of 64
+        params = SEIRParams()
+        u = derive_stream(13).generator().random(64 * 313)
+        blocks = np.concatenate([_incubation_steps(block, params) for block in u.reshape(-1, 64)])
+        single = [int(_incubation_steps(u[i:i + 1], params)[0]) for i in range(u.size)]
+        assert blocks.tolist() == single
+
+    def test_tables_are_built_on_first_use_only(self):
+        net = default_contact_network()
+        assert {"degrees", "degree_list", "neighbor_lists", "_heads",
+                "_transmission_lists"}.isdisjoint(vars(net))
+
+    def test_pickle_holds_the_fields_only(self):
+        net = default_contact_network()
+        cold = pickle.dumps(net)
+        vac = random_assignment(net, 0.624, derive_stream(14))
+        warm_run = run_seir(net, vac, stream=derive_stream(15), record_trace=True)
+        redistribute(net, vac, 0.1, derive_stream(16))
+        assert "_transmission_lists" in vars(net) and "_heads" in vars(net)
+        assert pickle.dumps(net) == cold
+        back = pickle.loads(cold)
+        assert set(vars(back)) == {f.name for f in dataclasses.fields(ContactNetwork)}
+        assert run_seir(back, vac, stream=derive_stream(15), record_trace=True) == warm_run
+        assert np.array_equal(redistribute(back, vac, 0.1, derive_stream(16)).vaccinated,
+                              redistribute(net, vac, 0.1, derive_stream(16)).vaccinated)
 
 
 class TestRunSeir:
@@ -839,6 +885,51 @@ class TestCountedClimbOracle:
         assert min(outcomes["stall"], outcomes["moved"], outcomes["kept"]) >= 100, outcomes
 
 
+class TestSingleTypeClimb:
+    # edge 0-1 and isolated nodes 2, 3, from {0, 2}: r = -1. Swapping 0 for 3
+    # leaves every vaccinated node isolated, and 2 for 1 every unvaccinated
+    # one; either makes P = D(2m - D) = 0, so r = 1. The other swaps keep r -1.
+    EDGES = [(0, 1, 120)]
+
+    def test_a_swap_to_a_single_type_is_accepted_and_ends_the_climb(self, monkeypatch):
+        trial_r, r_fraction = [], epi._r_fraction
+
+        def recording(*counts):
+            trial_r.append(r_fraction(*counts))
+            return trial_r[-1]
+
+        monkeypatch.setattr(epi, "_r_fraction", recording)
+        net = _net(4, self.EDGES)
+        start = VaccinationAssignment(np.array([True, False, True, False]))
+        finals = Counter()
+        for i in range(200):
+            trial_r.clear()
+            out = redistribute(net, start, 0.5, derive_stream(957, i))
+            finals[tuple(np.flatnonzero(out.vaccinated).tolist())] += 1
+            assert trial_r[0] == (-1, 1)  # the start's r
+            assert trial_r[-1] == (1, 1) and (1, 1) not in trial_r[:-1]
+            assert vaccination_assortativity(net, out) == 1.0
+        assert set(finals) == {(2, 3), (0, 1)}
+
+    def test_neighbour_counts_give_the_mixing_counts(self):
+        rng = np.random.default_rng(72)
+        graphs = [_net(4, self.EDGES), _net(3, [(0, 1, 90)])]
+        for g in range(60):
+            n = int(rng.integers(2, 14))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.5)
+            graphs.append(_net(n, [(u, v, 100) for (u, v), k in zip(pairs, keep) if k]))
+        for net in graphs:
+            for _ in range(8):
+                vacc = rng.random(net.n) < rng.uniform(0, 1)
+                vn, svv, suu = epi._vaccinated_neighbours(net, vacc)
+                mixing = epi._mixing_counts(net, vacc)
+                assert (svv, suu) == mixing
+                # Python ints: the exact accept test multiplies them past 64 bits
+                assert {type(c) for c in (svv, suu, *mixing, *vn)} <= {int}
+                assert vn == [int(vacc[net.neighbors(u)[0]].sum()) for u in range(net.n)]
+
+
 class TestRedistribute:
     def test_two_clique_target_reached(self):
         net = _two_cliques(20)
@@ -952,6 +1043,20 @@ class TestSweep:
         net = _net(4, [(0, 1, 90), (1, 2, 90), (2, 3, 90)])
         with pytest.raises(StallError, match="grid point"):
             sweep(net, 0.5, [0.99], 3, derive_stream(44), max_stall=300)
+
+    def test_a_task_calls_the_stage_three_kernels_by_their_module_names(self, monkeypatch):
+        # a tracer rebinds these names to time each kernel in the sweep
+        calls = Counter()
+        for name in ("random_assignment", "redistribute", "run_seir",
+                     "vaccination_assortativity"):
+            def counting(*args, _name=name, _fn=getattr(epi, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(epi, name, counting)
+        sweep(_two_cliques(10), 0.5, [0.0, 0.3], 3, derive_stream(45))
+        assert calls == {"random_assignment": 6, "redistribute": 6, "run_seir": 6,
+                         "vaccination_assortativity": 6}
 
 
 class TestPinnedOutputs:

@@ -19,7 +19,8 @@ from sentepi.homophily import (
     in_fraction_test,
 )
 from sentepi.stats import derive_stream, wilcoxon_signed_rank_paired
-from sentepi.synthetic import synthetic_opinionated_network
+
+from builders import synthetic_opinionated_network
 
 
 def brute_force_assortativity(labels, edges):

@@ -25,10 +25,7 @@ from sentepi.epi import SEIRParams
 REPO = Path(__file__).resolve().parents[1]
 
 # Exported with no caller outside the tests, on purpose: name -> why.
-ALLOWED = {
-    "synthetic.synthetic_corpus": "builds test inputs; synthetic is the test-data module",
-    "synthetic.synthetic_opinionated_network": "builds test inputs, as synthetic_corpus",
-}
+ALLOWED: dict[str, str] = {}
 
 
 # Defaulted parameters with no caller that passes them, on purpose:

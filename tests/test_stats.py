@@ -368,7 +368,7 @@ class TestRandomStreams:
                 assert get_type_hints(fn)["stream"] is RandomStream, checked
                 assert param.default is inspect.Parameter.empty, f"{info.name}.{name}"
         assert {"epi.run_seir", "epi.estimate_r0",
-                "homophily.bootstrap_null", "synthetic.synthetic_corpus"} <= checked
+                "homophily.bootstrap_null", "epi.redistribute"} <= checked
         assert "as_stream" not in sentepi.stats.__all__
 
     def test_uniformity_chi_square(self):

@@ -8,12 +8,9 @@ import sentepi
 from sentepi.corpus import LABEL_ORDER
 from sentepi.homophily import assortativity
 from sentepi.stats import derive_stream
-from sentepi.synthetic import (
-    default_contact_network,
-    synthetic_corpus,
-    synthetic_opinionated_network,
-    write_pipeline_fixture,
-)
+from sentepi.synthetic import default_contact_network, write_pipeline_fixture
+
+from builders import synthetic_corpus, synthetic_opinionated_network
 
 
 class TestSyntheticCorpus:
