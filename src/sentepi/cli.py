@@ -7,11 +7,13 @@ contact network, the same for every seed. Every command is a pipeline
 stage registered through :func:`_stage`, which checks the stage's inputs
 and its upstream chain, deletes its own manifest first and writes it
 last; every file is replaced whole. Each stage body imports the modules
-it uses, so a stage process loads only its own. A manifest is fresh while
-its ``reads`` (each config key the stage read; a file by its sha256),
-``upstream`` and ``outputs`` (the sha256 of each file consumed and
-written) match. The group's ``--log-level`` and ``-v`` set which of the
-library's log lines reach stderr; by default, its warnings.
+it uses, so a stage process loads only its own. Only ``train`` and
+``classify`` parse the tweet file: ``predictions.csv`` carries each
+tweet's user, UTC time and region beside its label. A manifest is fresh
+while its ``reads`` (each config key the stage read; a file by its
+sha256), ``upstream`` and ``outputs`` (the sha256 of each file consumed
+and written) match. The group's ``--log-level`` and ``-v`` set which of
+the library's log lines reach stderr; by default, its warnings.
 
 Exit codes: 0 success, 1 runtime failure (one ``Error:`` line, such as
 a model file that is not a model), 2 usage or configuration error,
@@ -34,7 +36,7 @@ import math
 import platform
 import sys
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, datetime
 from importlib import import_module
 from pathlib import Path
 from types import UnionType
@@ -48,6 +50,7 @@ from . import InputError, StallError, __version__, read_mapping, write_csv, writ
 # bundled file), but its root stays reserved so sweep keeps root 6.
 _TRAIN, _CLASSIFY, _TIMESERIES, _FLOWNET, _HOMOPHILY, _GENNET, _SWEEP = range(7)
 _STAGES: dict = {}  # name -> (required input keys, config -> upstream stage or None)
+_PREDICTIONS = ["tweet_id", "label", "source", "user_id", "timestamp", "region"]
 
 
 def __getattr__(name: str):
@@ -292,15 +295,17 @@ def _load_tweets(config: RunConfig):
 
 
 def _labeled_tweets(config: RunConfig) -> list:
-    """(tweet, label) pairs for the tweets that ``predictions.csv`` labels."""
-    from .corpus import SentimentLabel
-    tweets = _load_tweets(config)
-    labels = read_mapping(
-        config.out / "predictions.csv", ["tweet_id", "label", "source"],
-        lambda tweet_id, label, source: (tweet_id, SentimentLabel(label)),
-        "tweet_id,label,source with a known label",
-    )
-    return [(t, labels[t.id]) for t in tweets if t.id in labels]
+    """(tweet, label) pairs in ``predictions.csv`` order, each tweet rebuilt
+    from its row with empty text; an empty region reads as None."""
+    from .corpus import SentimentLabel, Tweet
+    return list(read_mapping(
+        config.out / "predictions.csv", _PREDICTIONS,
+        lambda tweet_id, label, source, user_id, timestamp, region: (tweet_id, (
+            Tweet(tweet_id, user_id, datetime.fromisoformat(timestamp), "", region or None),
+            SentimentLabel(label),
+        )),
+        ",".join(_PREDICTIONS) + " with a known label and an ISO-8601 timestamp",
+    ).values())
 
 
 _config_option = click.option(
@@ -458,16 +463,17 @@ def classify_cmd(config: RunConfig) -> list[str]:
     unlabeled = [tweet for tweet in tweets if tweet.id not in labels]
     predicted = iter(model.predict_batch([tokenize(tweet.text) for tweet in unlabeled]))
     out_path = config.out / "predictions.csv"
-    write_csv(out_path, ["tweet_id", "label", "source"], (
-        [tweet.id, labels[tweet.id].value, "manual"] if tweet.id in labels
-        else [tweet.id, next(predicted).value, "predicted"]
+    write_csv(out_path, _PREDICTIONS, (
+        [tweet.id, *([labels[tweet.id].value, "manual"] if tweet.id in labels
+                     else [next(predicted).value, "predicted"]),
+         tweet.user_id, tweet.timestamp.isoformat(), tweet.region]
         for tweet in tweets
     ))
     click.echo(f"wrote {out_path} ({len(unlabeled)} predicted labels)")
     return [out_path.name]
 
 
-@_stage("timeseries", inputs=("tweets",), upstream="classify", libraries=())
+@_stage("timeseries", upstream="classify", libraries=())
 def timeseries_cmd(config: RunConfig) -> list[str]:
     """Daily sentiment counts, the smoothed score, and regional scores."""
     from . import timeseries
@@ -511,9 +517,7 @@ def timeseries_cmd(config: RunConfig) -> list[str]:
     return outputs
 
 
-@_stage(
-    "flownet", inputs=("tweets", "followers", "friends"), upstream="classify", libraries=()
-)
+@_stage("flownet", inputs=("followers", "friends"), upstream="classify", libraries=())
 def flownet_cmd(config: RunConfig) -> list[str]:
     """Build the opinionated information-flow network's giant component."""
     from . import flownet

@@ -132,7 +132,7 @@ def parse_tweets(lines: IO | Iterable[str]) -> tuple[list[Tweet], int]:
 
 
 # The JSON types each field may hold (``type(x) in`` keeps out true and
-# false, which are ints to Python); a missing region reads as null.
+# false, which are ints to Python); a missing or blank region reads as null.
 _FIELD_TYPES = {"id": (str, int), "user_id": (str, int), "timestamp": (str,), "text": (str,),
                 "region": (str, type(None))}
 _JSON_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean",
@@ -164,7 +164,7 @@ def _parse_tweet(line: str, shared: dict[str, str]) -> Tweet:
         user_id=shared.setdefault(user_id, user_id),
         timestamp=ts,
         text=record["text"],
-        region=None if region is None else shared.setdefault(region, region),
+        region=shared.setdefault(region, region) if region and region.strip() else None,
     )
 
 

@@ -192,10 +192,6 @@ class ContactNetwork:
         """Each node's degree, built once; read-only."""
         return np.diff(self.indptr)
 
-    def neighbors(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        return self.nbr[lo:hi], self.nbr_w[lo:hi]
-
     def _rows(self, values: np.ndarray) -> list[list]:
         """``values``, one per entry of ``nbr``, split into per-node Python lists."""
         bounds = self.indptr.tolist()

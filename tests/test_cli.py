@@ -5,7 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -192,7 +192,7 @@ class TestPipelineCommands:
         result = _run(["classify", "--config", str(pipeline_dir["config"])])
         assert result.exit_code == 0, result.output
         predictions = (pipeline_dir["out"] / "predictions.csv").read_text()
-        assert predictions.startswith("tweet_id,label,source")
+        assert predictions.startswith("tweet_id,label,source,user_id,timestamp,region\n")
         assert ",predicted" in predictions
         assert ",manual" in predictions
 
@@ -595,11 +595,16 @@ class TestStageProtocol:
             ("opinion_nodes.csv", "u9999,1,0,0,none", "homophily"),
             ("opinion_nodes.csv", "u9999,x,0,0,positive", "homophily"),
             ("opinion_nodes.csv", "u9999,1,0,0,negative", "homophily"),
-            ("predictions.csv", "t9999,bogus,manual", "timeseries"),
+            ("predictions.csv", "t9999,bogus,manual,u0001,2009-10-02T08:30:00+00:00,R01",
+             "timeseries"),
+            ("predictions.csv", "t9999,positive,manual,u0001,2009-10-32T08:30:00+00:00,R01",
+             "timeseries"),
+            ("predictions.csv", "t9999,positive,manual", "flownet"),
             ("opinion_edges.csv", "u0001,zzz", "homophily"),
         ],
         ids=["nodes-short-row", "nodes-bad-sign", "nodes-non-integer-count",
              "nodes-sign-disagrees-with-counts", "predictions-unknown-label",
+             "predictions-bad-timestamp", "predictions-three-field-row",
              "edges-unknown-endpoint"],
     )
     def test_malformed_intermediate_row_is_usage_error_with_location(
@@ -724,6 +729,64 @@ class TestStageProtocol:
         result = _run(["timeseries", "--config", str(config)])
         assert result.exit_code == 2
         assert "stale upstream" in result.output
+
+    def test_an_edited_tweet_file_makes_timeseries_and_flownet_stale(
+        self, run_copy, pipeline_dir, tmp_path
+    ):
+        # Neither stage reads the tweet file; classify's manifest, which
+        # does, still ties their predictions to it.
+        tweets = tmp_path / "tweets.jsonl"
+        shutil.copy(pipeline_dir["root"] / "data" / "tweets.jsonl", tweets)
+        config = tmp_path / "c.conf"
+        config.write_text(pipeline_dir["config"].read_text() + f"tweets = {tweets}\n")
+        for stage in ("timeseries", "flownet"):
+            assert run_copy(stage, config=config).exit_code == 0
+            manifest = json.loads((run_copy.out / f"manifest_{stage}.json").read_text())
+            assert "tweets" not in manifest["reads"]
+        tweets.write_text("".join(tweets.read_text().splitlines(keepends=True)[:-1]))
+        for stage in ("timeseries", "flownet"):
+            result = run_copy(stage, config=config)
+            assert result.exit_code == 2
+            assert "stale upstream: 'classify' read a different tweets" in result.output
+
+    def test_timeseries_and_flownet_parse_no_tweets(self, tmp_path, monkeypatch):
+        data, config = _small_run(tmp_path, seed=6)
+        config.write_text(config.read_text() + f"followers = {data['followers']}\n"
+                          f"friends = {data['friends']}\n")
+        with open(data["tweets"], "a") as fh:
+            fh.write("not json\n")
+        for stage in ("train", "classify"):
+            result = _run([stage, "--config", str(config)])
+            assert result.exit_code == 0, result.output
+            assert "skipped 1 malformed tweet line(s)" in result.output
+
+        def refuse(lines):
+            raise AssertionError("parse_tweets called")
+
+        monkeypatch.setattr("sentepi.corpus.parse_tweets", refuse)
+        for stage in ("timeseries", "flownet"):
+            result = _run([stage, "--config", str(config)])
+            assert result.exit_code == 0, result.output
+            assert "skipped" not in result.output
+
+    def test_labeled_tweets_are_the_parsed_tweets_without_their_text(self, tmp_path):
+        from sentepi.corpus import SentimentLabel, parse_tweets
+
+        data, config = _small_run(tmp_path, seed=6)
+        with open(data["tweets"], "a") as fh:  # no region, and a blank one
+            fh.write('{"id": "tx", "user_id": "u1", "timestamp": "2009-10-02T10:30:00.25+02:00", '
+                     '"text": "flu shot today"}\n'
+                     '{"id": "ty", "user_id": "u2", "timestamp": "2009-10-03T08:30:00", '
+                     '"text": "no vaccine for me", "region": " "}\n')
+        for stage in ("train", "classify"):
+            assert _run([stage, "--config", str(config)]).exit_code == 0
+        with open(data["tweets"], encoding="utf-8") as fh:
+            tweets, _ = parse_tweets(fh)
+        rows = (tmp_path / "o" / "predictions.csv").read_text().splitlines()[1:]
+        labeled = cli._labeled_tweets(load_config(config, {}))
+        assert labeled == [(replace(t, text=""), SentimentLabel(row.split(",")[1]))
+                           for t, row in zip(tweets, rows, strict=True)]
+        assert labeled[-2][0].region is labeled[-1][0].region is None
 
     @pytest.mark.parametrize("row, line", [
         ("1,2", 3), ("1,x,120", 3), ("0,1,120,7", 3),
@@ -869,8 +932,8 @@ def test_a_manifest_records_the_versions_of_the_libraries_its_stage_uses(
     )
     assert bool(_scipy(modules)) == ("scipy" in libraries)
     assert ("numpy" in modules) == ("numpy" in libraries)
-    reads_tweets = stage in {"train", "classify", "timeseries", "flownet"}
-    assert ("sentepi.corpus" in modules) == ("sentepi.stemming" in modules) == reads_tweets
+    loads_corpus = stage in {"train", "classify", "timeseries", "flownet"}
+    assert ("sentepi.corpus" in modules) == ("sentepi.stemming" in modules) == loads_corpus
     assert "concurrent.futures.process" not in modules  # none of these stages runs a pool
     manifest = (run_copy.out / f"manifest_{stage}.json").read_bytes()
     assert set(json.loads(manifest)["versions"]) == {"sentepi", "python", *libraries}

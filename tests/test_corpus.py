@@ -183,6 +183,14 @@ class TestParseTweets:
             2009, 10, 2, 8, 30, tzinfo=timezone.utc
         )
 
+    @pytest.mark.parametrize("region, read", [("", None), (" ", None), ("\t \n", None),
+                                              (" R01 ", " R01 ")])
+    def test_blank_region_reads_as_missing(self, region, read):
+        # predictions.csv writes None and "" alike, so only None round-trips
+        tweets, skipped = parse_tweets(io.StringIO(_tweet_line(region=region)))
+        assert skipped == 0
+        assert tweets[0].region == read
+
 
 class TestParseLabels:
     def test_basic_with_header(self):

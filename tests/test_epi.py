@@ -113,15 +113,15 @@ class TestContactNetwork:
     def test_neighbors_and_degrees(self):
         net = _net(3, [(0, 1, 90), (0, 2, 120)])
         assert list(net.degrees) == [2, 1, 1]
-        nbrs, wts = net.neighbors(0)
-        assert sorted(nbrs.tolist()) == [1, 2]
-        assert sorted(wts.tolist()) == [90, 120]
+        lo, hi = net.indptr[0], net.indptr[1]
+        assert sorted(net.nbr[lo:hi].tolist()) == [1, 2]
+        assert sorted(net.nbr_w[lo:hi].tolist()) == [90, 120]
 
     def test_neighbor_lists_match_neighbors(self):
         net = default_contact_network()
         assert len(net.neighbor_lists) == net.n
         for i in range(net.n):
-            assert net.neighbor_lists[i] == net.neighbors(i)[0].tolist()
+            assert net.neighbor_lists[i] == net.nbr[net.indptr[i]:net.indptr[i + 1]].tolist()
         assert net.neighbor_lists is net.neighbor_lists
 
     def test_csv_round_trip(self, tmp_path):
@@ -172,7 +172,8 @@ class TestNetworkTables:
         assert net.transmission_lists(factor, rate) is table
         for mask in (np.ones(net.n, dtype=bool), np.arange(net.n) % 2 == 0):
             for u in range(net.n):
-                nbrs, wts = net.neighbors(u)
+                lo, hi = net.indptr[u], net.indptr[u + 1]
+                nbrs, wts = net.nbr[lo:hi], net.nbr_w[lo:hi]
                 sus = mask[nbrs]
                 per_call = transmission_probability(factor * wts[sus], rate).tolist()
                 assert list(itertools.compress(table[u], sus.tolist())) == per_call
@@ -302,7 +303,8 @@ def _reference_run_seir(net, vac, params, *, stream, record_trace=False, _index_
         if step % 14 in (0, 2, 4, 6, 8):
             transmitters = np.flatnonzero(window_pending & (state == I))
             for u in transmitters:
-                nbrs, wts = net.neighbors(int(u))
+                lo, hi = net.indptr[u], net.indptr[u + 1]
+                nbrs, wts = net.nbr[lo:hi], net.nbr_w[lo:hi]
                 sus_mask = state[nbrs] == S
                 if not np.any(sus_mask):
                     continue
@@ -927,7 +929,8 @@ class TestSingleTypeClimb:
                 assert (svv, suu) == mixing
                 # Python ints: the exact accept test multiplies them past 64 bits
                 assert {type(c) for c in (svv, suu, *mixing, *vn)} <= {int}
-                assert vn == [int(vacc[net.neighbors(u)[0]].sum()) for u in range(net.n)]
+                assert vn == [int(vacc[net.nbr[lo:hi]].sum())
+                              for lo, hi in zip(net.indptr[:-1], net.indptr[1:])]
 
 
 class TestRedistribute:
